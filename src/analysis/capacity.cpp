@@ -63,7 +63,9 @@ bool preemptible(const DeviceGroup& d) {
 
 /// Worst case of one monolithic co-batched pass: a maximal pass of the
 /// slowest tenant's samples that pays every tenant's weight reload (the
-/// exact ablation_shared_pu tail shape).
+/// exact ablation_shared_pu tail shape). Resident-first ordering does not
+/// retire this case: a pass the resident tenant does not ride reloads
+/// every model in it.
 double pass_blocking_us(const DeviceGroup& d) {
   const ReplicaFacts& pu = *d.tenants.front().replica;
   double switch_sum = 0.0;

@@ -238,11 +238,23 @@ std::vector<SharedDevice::Job*> SharedDevice::next_pass_locked(
   // Interactive sub-batches lead the pass — on a chunked device they ride
   // the first chunks instead of waiting out every batch tenant's run —
   // then group by tenant so each model's weights are loaded at most once
-  // per contiguous run (stable: preserves per-tenant FIFO order).
-  std::stable_sort(pass.begin(), pass.end(), [](const Job* a, const Job* b) {
-    if (a->interactive != b->interactive) return a->interactive;
-    return a->owner < b->owner;
-  });
+  // per contiguous run (stable: preserves per-tenant FIFO order). The
+  // resident model's group goes first and the rest follow in attach
+  // order, so each pass starts where the last one ended: back-to-back
+  // co-batched passes alternate ends (A B | B A | A B) and pay one reload
+  // each, not one per model.
+  std::vector<const Tenant*> order{resident_};
+  order.insert(order.end(), active_.begin(), active_.end());
+  const auto rank = [&order](const Tenant* tenant) {
+    return std::find(order.begin(), order.end(), tenant) - order.begin();
+  };
+  std::stable_sort(pass.begin(), pass.end(),
+                   [&rank](const Job* a, const Job* b) {
+                     if (a->interactive != b->interactive) {
+                       return a->interactive;
+                     }
+                     return rank(a->owner) < rank(b->owner);
+                   });
   return pass;
 }
 

@@ -12,10 +12,15 @@
 // Scheduling: every tenant's prepared sub-batches land in per-tenant FIFO
 // lanes on the device — one lane per priority class, interactive drained
 // first. Each device pass, the dispatcher coalesces pending sub-batches —
-// round-robin across tenants for fairness, then grouped by model for
-// execution — into one pass of up to `max_pass_samples` samples, provided
-// the tenants' input geometries align; geometry-incompatible work falls
-// back to serialized per-model passes. With `cobatch = false` the device
+// round-robin across tenants for fairness — into one pass of up to
+// `max_pass_samples` samples, provided the tenants' input geometries
+// align; geometry-incompatible work falls back to serialized per-model
+// passes. The pass executes grouped by model, interactive sub-batches
+// first, then *resident first*: the model whose weights are already loaded
+// runs before the others, which follow in attach order. A pass's last
+// group is the next pass's resident-first group, so back-to-back
+// co-batched passes alternate ends (A B | B A | ...) and pay one weight
+// reload each instead of one per model. With `cobatch = false` the device
 // degrades to classic time-sliced serialization (one sub-batch per pass,
 // strict round-robin over tenants) — the ablation baseline of
 // bench/ablation_shared_pu.
@@ -475,10 +480,13 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
 
   /// Pops the next pass from the tenant lanes: strict round-robin one
   /// sub-batch per pass when cobatch is off; otherwise round-robin across
-  /// geometry-compatible tenants up to max_pass_samples, returned grouped
-  /// by tenant so weight reloads are paid once per model per pass. With
-  /// `interactive_only` only interactive lanes are drawn from (preemption
-  /// passes serve probes exclusively).
+  /// geometry-compatible tenants up to max_pass_samples. Returned grouped
+  /// by tenant, so weight reloads are paid at most once per model per
+  /// pass, in execution order: interactive sub-batches first, then the
+  /// resident tenant's (its weights need no reload), then the rest in
+  /// attach order (position in active_). With `interactive_only` only
+  /// interactive lanes are drawn from (preemption passes serve probes
+  /// exclusively).
   [[nodiscard]] std::vector<Job*> next_pass_locked(bool interactive_only)
       REQUIRES(mutex_);
 

@@ -2,7 +2,7 @@
 //
 // Preemption and continuous batching are interleaving-heavy: a test that
 // sleeps wall-clock and hopes the probe lands mid-pass is flaky by
-// construction. This header gives tests the three seams
+// construction. This header gives tests the seams
 // SharedDeviceConfig exposes instead:
 //
 //   VirtualClock  — a monotone microsecond clock the device paces against.
@@ -15,12 +15,17 @@
 //                   hold the boundary, inject a probe or a joiner, release,
 //                   observe the event stream. The destructor opens the gate
 //                   so a failing test can still shut the server down.
+//   PacingGate    — the same hold on the sleep_us seam of a paced device,
+//                   over a VirtualClock: parks every pass (monolithic or
+//                   chunked) after it executed, before it retires, so a
+//                   test decides exactly what the next pass is formed from.
 //   make_preempt_qnet / preempt_image — the same tiny quantized MLP zoo
 //                   entries the shared-device suite uses (seeded, so
 //                   schedules replay from a seed).
 //
-// Used by tests/test_preemption.cpp; any future SharedDevice scheduling
-// test should build on these seams rather than wall-clock sleeps.
+// Used by tests/test_preemption.cpp and tests/test_shared_device.cpp; any
+// future SharedDevice scheduling test should build on these seams rather
+// than wall-clock sleeps.
 #pragma once
 
 #include <atomic>
@@ -28,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
 
 #include "nn/zoo.hpp"
 #include "serve/shared_device.hpp"
@@ -59,6 +65,17 @@ inline tensor::Tensor preempt_image(util::Rng& rng, std::size_t hw_dim = 16) {
   return image;
 }
 
+/// Sub-batches of `model` waiting in the device lanes right now, summed
+/// over its tenants (replicas).
+inline std::uint64_t queued_jobs(const SharedDevice& pu,
+                                 const std::string& model) {
+  std::uint64_t queued = 0;
+  for (const SharedTenantRow& row : pu.snapshot().tenants) {
+    if (row.model == model) queued += row.queued_jobs;
+  }
+  return queued;
+}
+
 /// Virtual microsecond clock for the SharedDeviceConfig::now_us/sleep_us
 /// seams: monotone, advanced by pacing sleeps (instantly) and by tests.
 /// Safe from any thread. The clock outlives the device it is bound to —
@@ -85,38 +102,34 @@ class VirtualClock {
   std::atomic<std::int64_t> now_us_{0};
 };
 
-/// Parks the dispatch thread at chunk boundaries. Protocol:
+/// Parks the dispatch thread at one of the device's seams until the test
+/// releases it. Protocol (ChunkGate / PacingGate supply bind()):
 ///   gate.bind(config);            // before SharedDevice::create
-///   auto e = gate.next();         // wait for a boundary (dispatcher parked)
-///   ... inject probes/joiners ... // dispatcher cannot plan the next chunk
-///   gate.release();               // let exactly one chunk boundary pass
+///   auto e = gate.next();         // wait for a park (dispatcher held)
+///   ... inject probes/joiners ... // dispatcher cannot move on
+///   gate.release();               // let exactly one park pass
 ///   gate.open();                  // stop gating (always before shutdown)
-class ChunkGate {
+template <typename Event>
+class DispatcherGate {
  public:
-  ~ChunkGate() { open(); }
+  ~DispatcherGate() { open(); }
 
-  void bind(SharedDeviceConfig& config) {
-    config.chunk_hook = [this](const SharedDeviceChunkEvent& event) {
-      on_chunk(event);
-    };
-  }
-
-  /// Blocks until the dispatcher reaches a chunk boundary and returns its
-  /// event. The dispatcher stays parked in the hook until release()/open().
-  [[nodiscard]] SharedDeviceChunkEvent next() {
+  /// Blocks until the dispatcher parks and returns the park's event. The
+  /// dispatcher stays parked until release()/open().
+  [[nodiscard]] Event next() {
     util::MutexLock lock(mutex_);
     arrived_.wait(mutex_, [this]() REQUIRES(mutex_) {
       return !events_.empty();
     });
-    SharedDeviceChunkEvent event = events_.front();
+    Event event = events_.front();
     events_.pop_front();
     return event;
   }
 
   /// next() with a deadline, so test loops stay hang-proof: returns
-  /// std::nullopt if no boundary arrives within `timeout` (e.g. the
-  /// device drained and there is nothing left to gate).
-  [[nodiscard]] std::optional<SharedDeviceChunkEvent> next_for(
+  /// std::nullopt if no park arrives within `timeout` (e.g. the device
+  /// drained and there is nothing left to gate).
+  [[nodiscard]] std::optional<Event> next_for(
       std::chrono::milliseconds timeout) {
     util::MutexLock lock(mutex_);
     if (!arrived_.wait_for(mutex_, timeout, [this]() REQUIRES(mutex_) {
@@ -124,13 +137,13 @@ class ChunkGate {
         })) {
       return std::nullopt;
     }
-    SharedDeviceChunkEvent event = events_.front();
+    Event event = events_.front();
     events_.pop_front();
     return event;
   }
 
-  /// Grants `n` boundary permits: the parked dispatcher (and the next n-1
-  /// boundaries) proceed without further holds.
+  /// Grants `n` permits: the parked dispatcher (and the next n-1 parks)
+  /// proceed without further holds.
   void release(std::size_t n = 1) {
     {
       util::MutexLock lock(mutex_);
@@ -139,9 +152,9 @@ class ChunkGate {
     released_.notify_all();
   }
 
-  /// Stops gating permanently: the parked dispatcher and every later
-  /// boundary proceed immediately. Call before server shutdown — a gated
-  /// dispatcher cannot drain.
+  /// Stops gating permanently: the parked dispatcher and every later park
+  /// proceed immediately. Call before server shutdown — a gated dispatcher
+  /// cannot drain.
   void open() {
     {
       util::MutexLock lock(mutex_);
@@ -150,8 +163,10 @@ class ChunkGate {
     released_.notify_all();
   }
 
- private:
-  void on_chunk(const SharedDeviceChunkEvent& event) {
+ protected:
+  /// Called on the dispatch thread at the seam: records the event, then
+  /// blocks until a permit (or open()) lets it continue.
+  void park(const Event& event) {
     util::MutexLock lock(mutex_);
     events_.push_back(event);
     arrived_.notify_all();
@@ -161,12 +176,45 @@ class ChunkGate {
     if (!open_) --permits_;
   }
 
+ private:
   util::Mutex mutex_;
   util::CondVar arrived_;
   util::CondVar released_;
-  std::deque<SharedDeviceChunkEvent> events_ GUARDED_BY(mutex_);
+  std::deque<Event> events_ GUARDED_BY(mutex_);
   std::size_t permits_ GUARDED_BY(mutex_) = 0;
   bool open_ GUARDED_BY(mutex_) = false;
+};
+
+/// Parks the dispatcher at every chunk boundary of a preemptible pass (the
+/// chunk_hook seam, called outside the device mutex).
+class ChunkGate : public DispatcherGate<SharedDeviceChunkEvent> {
+ public:
+  void bind(SharedDeviceConfig& config) {
+    config.chunk_hook = [this](const SharedDeviceChunkEvent& event) {
+      park(event);
+    };
+  }
+};
+
+/// Parks the dispatcher in the pacing sleep of a paced device (the
+/// sleep_us seam: once per monolithic pass, after it executed and before
+/// it retires; once per chunk when preemptible; never for a pass whose
+/// modeled cost truncates to 0 us), on a VirtualClock the sleep advances
+/// first. The event is the modeled sleep, microseconds.
+/// While parked, the pass's riders are still blocked and the next pass
+/// is not formed yet, so a test can queue exactly that pass's work.
+class PacingGate : public DispatcherGate<std::int64_t> {
+ public:
+  void bind(SharedDeviceConfig& config) {
+    config.now_us = [this] { return clock_.now(); };
+    config.sleep_us = [this](std::int64_t us) {
+      clock_.advance(us);
+      park(us);
+    };
+  }
+
+ private:
+  VirtualClock clock_;
 };
 
 }  // namespace mfdfp::serve::testing

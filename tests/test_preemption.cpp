@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
@@ -192,7 +194,7 @@ TEST(Preemption, ProbeJoinsInFlightPass) {
   ChunkGate gate;
   SharedDeviceConfig pu_config;
   pu_config.paced = false;
-  pu_config.preempt_granularity_us = 1.0;  // a boundary after every sample
+  pu_config.preempt_granularity_us = 1.0;  // a boundary every <= 4 samples
   pu_config.max_pass_samples = 64;  // room for joiners
   gate.bind(pu_config);
   auto pu = SharedDevice::create({}, pu_config);
@@ -201,13 +203,41 @@ TEST(Preemption, ProbeJoinsInFlightPass) {
   server.deploy("a", {qnet_a}, tenant_config(pu));
   server.deploy("b", {qnet_b}, tenant_config(pu));  // same geometry: joinable
 
+  // How many samples a pass holds depends on what a's two engine workers
+  // find queued (max_wait_us = 0), so a slow or contended host could
+  // drain the flood one short pass at a time and never park mid-pass.
+  // Instead, every pass boundary is held until both workers have a
+  // sub-batch in the device lane (the parked dispatcher drains nothing).
+  const auto both_workers_queued = [&pu]() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (;;) {
+      if (testing::queued_jobs(*pu, "a") >= 2) return true;
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  // A one-sample warm-up pass parks at its only chunk boundary while the
+  // flood queues up behind it, so the next pass carries both workers'
+  // sub-batches. Once the backlog is deep each worker takes a full
+  // max_batch of 4, so from the pass after that on every pass spans more
+  // than one chunk (a chunk here holds at most 4 samples of this net).
+  util::Rng rng{942};
+  std::future<Response> warm_up =
+      server.submit("a", preempt_image(rng), batch_options());
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "warm-up pass never reached a chunk boundary";
+
   // Flood the batch lane of `a`; its workers keep resubmitting as jobs
   // retire mid-pass, so the pass stays in flight while we inject.
-  util::Rng rng{942};
   std::vector<std::future<Response>> flood;
   for (int i = 0; i < 40; ++i) {
     flood.push_back(server.submit("a", preempt_image(rng), batch_options()));
   }
+  ASSERT_TRUE(both_workers_queued()) << "flood never reached the device lane";
+  gate.release();
+  ASSERT_TRUE(ok(warm_up.get().status));
 
   // Walk chunk boundaries until the dispatcher is parked MID-pass (samples
   // of the flood pass still remaining). The dispatcher is frozen in the
@@ -226,6 +256,8 @@ TEST(Preemption, ProbeJoinsInFlightPass) {
       parked_mid_pass = true;
       break;
     }
+    ASSERT_TRUE(both_workers_queued())
+        << "flood drained before a mid-pass park";
     gate.release();
   }
   ASSERT_TRUE(parked_mid_pass);

@@ -1,6 +1,7 @@
 // Shared-device backend: one physical PU (SharedDevice) serving several
 // models through per-tenant SharedDeviceBackends — creation/validation,
-// cross-model co-batching with bit-identical logits, geometry-mismatch
+// cross-model co-batching with bit-identical logits, resident-first pass
+// order (one weight reload per co-batched pass), geometry-mismatch
 // serialization, the time-sliced baseline, aggregate-backlog admission and
 // routing, merged per-device stats rows, and tenant lifecycle storms
 // (undeploy of one model while another keeps submitting). The whole file
@@ -10,13 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
+#include "serve_test_util.hpp"
 
 namespace mfdfp::serve {
 namespace {
@@ -128,13 +134,24 @@ TEST(SharedDevice, CoBatchesAcrossModelsWhilePaced) {
   const hw::QNetDesc qnet_a = make_test_qnet(511);
   const hw::QNetDesc qnet_b = make_test_qnet(512);
 
-  // The first pass paces for pass_overhead_us; every later submission lands
-  // in the tenant lanes meanwhile, so the second pass must coalesce both
-  // models — deterministically, since the single dispatcher cannot form it
-  // before the first pass retires.
+  // The first pass, one request of `a`, is held in its pacing sleep until
+  // both models have sub-batches queued behind it, so the second pass must
+  // coalesce both models — deterministically, since the single dispatcher
+  // cannot form it before the first pass retires. Held or not, every pass
+  // then sleeps out its modeled cost on the wall clock.
+  class HeldPacing : public testing::DispatcherGate<std::int64_t> {
+   public:
+    void bind(SharedDeviceConfig& config) {
+      config.sleep_us = [this](std::int64_t us) {
+        park(us);
+        std::this_thread::sleep_for(std::chrono::microseconds(us));
+      };
+    }
+  } gate;
   SharedDeviceConfig pu_config;
   pu_config.paced = true;
   pu_config.pass_overhead_us = 20'000;
+  gate.bind(pu_config);
   auto pu = SharedDevice::create({}, pu_config);
 
   ModelServer server;
@@ -145,10 +162,21 @@ TEST(SharedDevice, CoBatchesAcrossModelsWhilePaced) {
 
   util::Rng rng{513};
   std::vector<std::future<Response>> futures;
+  futures.push_back(server.submit("a", random_image(rng)));
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "first pass never paced";
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(server.submit("a", random_image(rng)));
+    if (i > 0) futures.push_back(server.submit("a", random_image(rng)));
     futures.push_back(server.submit("b", random_image(rng)));
   }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((testing::queued_jobs(*pu, "a") == 0 ||
+          testing::queued_jobs(*pu, "b") == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.open();
   for (auto& future : futures) {
     ASSERT_TRUE(ok(future.get().status));
   }
@@ -158,6 +186,96 @@ TEST(SharedDevice, CoBatchesAcrossModelsWhilePaced) {
       << "no pass ever mixed the two models";
   // Paced utilization can never exceed the wall window.
   EXPECT_LE(snapshot.utilization, 1.05);
+}
+
+TEST(SharedDevice, CoBatchedPassesStartOnTheResidentModel) {
+  const hw::QNetDesc qnet_a = make_test_qnet(541);
+  const hw::QNetDesc qnet_b = make_test_qnet(542);
+  const hw::AcceleratorExecutor ref_a(qnet_a);
+  const hw::AcceleratorExecutor ref_b(qnet_b);
+  constexpr std::size_t kCoBatchedPasses = 6;
+
+  // Paced on a virtual clock and parked in every pass's pacing sleep: each
+  // pass's sub-batches are queued while the previous pass is held, so pass
+  // k+1 is formed from exactly {a_k+1, b_k+1} — no wall-clock race decides
+  // what rides together.
+  testing::PacingGate gate;
+  SharedDeviceConfig pu_config;
+  pu_config.paced = true;
+  pu_config.model_switch_us = 1000.0;
+  pu_config.pass_overhead_us = 50.0;  // every pass sleeps, so parks
+  pu_config.coalesce_window_us = 0;
+  gate.bind(pu_config);
+  auto pu = SharedDevice::create({}, pu_config);
+
+  DeployConfig config = small_config();
+  config.model_name = "a";
+  const auto backend_a = pu->attach({qnet_a}, config, pu->spec());
+  config.model_name = "b";
+  const auto backend_b = pu->attach({qnet_b}, config, pu->spec());
+
+  struct SubBatch {
+    Tensor images;
+    const hw::AcceleratorExecutor* ref = nullptr;
+    std::future<BatchResult> result;
+  };
+  std::deque<SubBatch> sub_batches;  // stable addresses: execute() borrows
+  // Opens the gate before the futures wait, so a failing assertion below
+  // still lets every blocked submitter drain.
+  struct OpenOnExit {
+    testing::PacingGate& gate;
+    ~OpenOnExit() { gate.open(); }
+  } open_on_exit{gate};
+
+  util::Rng rng{543};
+  const auto submit = [&](const std::shared_ptr<const SharedDeviceBackend>&
+                              backend,
+                          const hw::AcceleratorExecutor& ref) {
+    SubBatch& sub = sub_batches.emplace_back();
+    sub.images = Tensor{Shape{2, 3, 16, 16}};
+    sub.images.fill_uniform(rng, -1.0f, 1.0f);
+    sub.ref = &ref;
+    sub.result = std::async(std::launch::async, [backend, &sub] {
+      hw::ExecScratch scratch;
+      return backend->execute(sub.images, scratch);
+    });
+  };
+  // A cold warm-up pass of `a` alone pays the first reload; after it `a`
+  // is resident.
+  submit(backend_a, ref_a);
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "warm-up pass never paced";
+  for (std::size_t pass = 0; pass < kCoBatchedPasses; ++pass) {
+    submit(backend_a, ref_a);
+    submit(backend_b, ref_b);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (testing::queued_jobs(*pu, "a") == 0 ||
+           testing::queued_jobs(*pu, "b") == 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "sub-batches never reached the device lanes";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    gate.release();
+    ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+        << "co-batched pass " << pass << " never paced";
+  }
+  gate.open();
+
+  for (SubBatch& sub : sub_batches) {
+    const BatchResult result = sub.result.get();
+    // Pass order decides when a sub-batch completes, never what it computes.
+    EXPECT_EQ(tensor::max_abs_diff(result.logits, sub.ref->run(sub.images)),
+              0.0f);
+  }
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  EXPECT_EQ(snapshot.passes, kCoBatchedPasses + 1);
+  EXPECT_EQ(snapshot.cobatched_passes, kCoBatchedPasses);
+  // Each pass starts on the model its predecessor ended on (A | A B | B A
+  // | ...), so the warm-up and every co-batched pass pay one reload each.
+  // A fixed tenant order pays both models' reloads on every co-batched
+  // pass after the first.
+  EXPECT_EQ(snapshot.model_switches, snapshot.passes);
 }
 
 TEST(SharedDevice, GeometryMismatchFallsBackToSerializedPasses) {
