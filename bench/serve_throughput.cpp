@@ -5,7 +5,8 @@
 //  A. serial baseline — one thread, one AcceleratorExecutor::run per request
 //     (the repo's only serving story before src/serve existed);
 //  B. closed-loop batched — K client threads submit back-to-back into a
-//     ModelServer deployment (dynamic batching + worker pool + run_batch);
+//     ModelServer deployment (dynamic batching + worker pool + compiled
+//     plans);
 //  C. open-loop Poisson — requests arrive at a fixed fraction of the
 //     measured batched capacity, the realistic traffic shape.
 //

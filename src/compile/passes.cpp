@@ -35,8 +35,9 @@ std::size_t out_extent(std::size_t in, std::size_t window, std::size_t stride,
 }
 
 /// Decodes a nibble-packed pow2 weight stream into the plain +/-2^(7+e)
-/// integer multipliers the fast kernels use (identical to what
-/// AcceleratorExecutor predecodes, so plan execution is bit-identical).
+/// integer multipliers the plan kernels use: synapse_product as a plain
+/// multiply, in the same 2^-(m+7) units, so plan execution is bit-identical
+/// to AcceleratorExecutor::run().
 void decode_fast_weights(const std::vector<std::uint8_t>& packed,
                          std::size_t count, std::vector<std::int32_t>& out) {
   if (packed.size() < (count + 1) / 2) {

@@ -13,7 +13,7 @@
 // eviction or hot redeploy.
 //
 // Execution of a plan (compile/plan_executor.hpp) is bit-identical to
-// AcceleratorExecutor::run_batch / run() on the source desc: every lossy
+// AcceleratorExecutor::run() on the source desc: every lossy
 // stage goes through the shared hw/kernels.hpp implementations, and the
 // integer dot products are exact under any association, so fusion and
 // im2col only reorder exact arithmetic.
@@ -38,8 +38,8 @@ enum class StepKind : std::uint8_t {
 
 /// Per-layer conv execution strategy, chosen by the strategy pass.
 enum class ConvAlgo : std::uint8_t {
-  /// Indexed gather inside the MAC loop (run_batch's shape). No patch
-  /// materialization; each output channel re-walks the gather table.
+  /// Indexed gather inside the MAC loop. No patch materialization; each
+  /// output channel re-walks the gather table.
   kDirect,
   /// Materialize each (sample, pixel) patch once into a contiguous int8
   /// buffer, then run a dense branch-free dot per output channel — the
@@ -53,8 +53,6 @@ enum class ConvStrategy : std::uint8_t { kAuto, kForceIm2col, kForceDirect };
 /// Deploy-time compilation knobs (DeployConfig.compile). Each pass can be
 /// ablated independently; `bench/ablation_compile` measures every row.
 struct CompileOptions {
-  /// Master switch: false deploys the legacy uncompiled run_batch path.
-  bool enabled = true;
   /// Fusion pass: collapse conv→ReLU(→pool) / fc→ReLU chains into one step.
   bool fuse = true;
   /// Geometry-specialization pass: select the no-padding fast kernel

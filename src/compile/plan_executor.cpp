@@ -84,9 +84,8 @@ void run_conv_step(const PlanStep& s, const CodeTensor& input, CodeTensor& out,
       }
     }
   } else {
-    // Direct: indexed gather inside the MAC loop (run_batch's shape), but
-    // against the plan's prebuilt table; the no-pad specialization compiles
-    // the padded-tap branch out.
+    // Direct: indexed gather inside the MAC loop against the plan's prebuilt
+    // table; the no-pad specialization compiles the padded-tap branch out.
     for (std::size_t n = 0; n < batch; ++n) {
       const std::int8_t* codes = input.codes.data() + n * image;
       for (std::size_t pixel = 0; pixel < pixels; ++pixel) {

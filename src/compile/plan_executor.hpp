@@ -1,13 +1,12 @@
-// Executes a CompiledPlan — the deploy-time-lowered twin of
-// AcceleratorExecutor::run_batch, bit-identical to it (and therefore to
-// run() and the fake-quantized software model) by construction: every lossy
-// stage calls the shared hw/kernels.hpp implementations, and the integer
-// dot products are exact under any association, so the plan's fusion,
-// prebuilt gather tables, and im2col patch buffers only reorder exact
-// arithmetic.
+// Executes a CompiledPlan — the serving fast path, bit-identical to
+// AcceleratorExecutor::run() (and therefore to the fake-quantized software
+// model) by construction: every lossy stage calls the shared hw/kernels.hpp
+// implementations, and the integer dot products are exact under any
+// association, so the plan's fusion, prebuilt gather tables, and im2col
+// patch buffers only reorder exact arithmetic.
 //
-// Thread-safety matches run_batch: callers are concurrent as long as each
-// brings its own ExecScratch; the plan itself is immutable and shared.
+// Thread-safety: callers are concurrent as long as each brings its own
+// ExecScratch; the plan itself is immutable and shared.
 #pragma once
 
 #include "compile/plan.hpp"
@@ -37,7 +36,7 @@ void run_plan_codes(const CompiledPlan& plan, hw::ExecScratch& scratch,
 
 /// Full batched pipeline: encode the stacked images ({B, C, H, W}) at the
 /// plan's input radix, execute every step, decode the logits. Bit-identical
-/// to AcceleratorExecutor::run_batch on the source desc (enforced by
+/// to per-sample AcceleratorExecutor::run() on the source desc (enforced by
 /// tests/test_compile.cpp and bench/ablation_compile).
 [[nodiscard]] tensor::Tensor run_plan_batch(const CompiledPlan& plan,
                                             const tensor::Tensor& images,

@@ -153,23 +153,4 @@ std::int32_t route_sum(std::int64_t sum, int in_frac, int out_frac,
   return acc.route();
 }
 
-std::int32_t fast_neuron_dot(const std::int8_t* codes,
-                             const std::size_t* index, std::size_t base,
-                             const std::int32_t* weights, std::size_t count,
-                             int in_frac, int out_frac,
-                             std::int32_t bias_code) {
-  std::int64_t sum = 0;
-  if (index != nullptr) {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (index[k] == SIZE_MAX) continue;  // padded tap -> zero input
-      sum += static_cast<std::int64_t>(codes[base + index[k]]) * weights[k];
-    }
-  } else {
-    for (std::size_t k = 0; k < count; ++k) {
-      sum += static_cast<std::int64_t>(codes[k]) * weights[k];
-    }
-  }
-  return route_sum(sum, in_frac, out_frac, bias_code);
-}
-
 }  // namespace mfdfp::hw

@@ -1,14 +1,13 @@
 // Shared code-domain layer kernels: the single implementation of every
 // rounding the executor and the deploy-time compiler both depend on.
 //
-// The repo's core invariant — AcceleratorExecutor::run_batch ==
-// run() == the fake-quantized software model, bit for bit — holds because
-// there is exactly one implementation of each lossy stage (ReLU refrac,
-// pool reduction, the Accumulator & Routing realignment). These helpers
-// used to live in executor.cpp's anonymous namespace; the compiled-plan
-// executor (compile/plan_executor.cpp) now runs the very same functions, so
-// a CompiledPlan is bit-identical to the uncompiled path by construction,
-// not by re-implementation.
+// The repo's core invariant — a CompiledPlan (compile/plan_executor.hpp) ==
+// AcceleratorExecutor::run() == the fake-quantized software model, bit for
+// bit — holds because there is exactly one implementation of each lossy
+// stage (ReLU refrac, pool reduction, the Accumulator & Routing
+// realignment). The reference executor and the compiled-plan executor run
+// the very same functions, so a plan is bit-identical to run() by
+// construction, not by re-implementation.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,7 @@
 
 namespace mfdfp::hw {
 
-/// Layer geometry shared by the reference, fast, and compiled conv kernels.
+/// Layer geometry shared by the reference and compiled conv kernels.
 struct ConvGeometry {
   std::size_t batch = 0, ih = 0, iw = 0, oh = 0, ow = 0, patch = 0;
 };
@@ -55,24 +54,12 @@ void apply_flatten(CodeTensor& input, int out_frac);
 /// `out`'s shape/frac are set and its codes resized reusing capacity.
 void pool_forward(const QPool& pool, const CodeTensor& input, CodeTensor& out);
 
-/// Fast-path neuron: exact integer dot product with the +/-2^(7+e)
-/// multiplier table, then the same Accumulator & Routing arithmetic as the
-/// reference path (one accumulate of the full sum — integer addition is
-/// exact, so the result matches tile-wise accumulation bit for bit).
-/// `index` non-null gathers `codes[base + index[k]]` with SIZE_MAX taps
-/// reading zero; null reads `codes[k]` densely.
-[[nodiscard]] std::int32_t fast_neuron_dot(const std::int8_t* codes,
-                                           const std::size_t* index,
-                                           std::size_t base,
-                                           const std::int32_t* weights,
-                                           std::size_t count, int in_frac,
-                                           int out_frac,
-                                           std::int32_t bias_code);
-
 /// Routes an already-accumulated integer dot-product sum (units 2^-(m+7))
 /// through the Accumulator & Routing block: add bias, realign m -> n,
-/// round-half-away, saturate to 8 bits. The tail every fast/compiled conv
-/// and FC kernel shares with fast_neuron_dot.
+/// round-half-away, saturate to 8 bits. The tail every compiled conv and
+/// FC kernel shares: one accumulate of the full sum matches the reference
+/// path's tile-wise accumulation bit for bit, since integer addition is
+/// exact.
 [[nodiscard]] std::int32_t route_sum(std::int64_t sum, int in_frac,
                                      int out_frac, std::int32_t bias_code);
 

@@ -77,14 +77,6 @@ void LayerProfiler::record_pass(std::size_t batch_samples) noexcept {
   samples_.fetch_add(batch_samples, std::memory_order_relaxed);
 }
 
-void LayerProfiler::record_layer_host_ns(std::size_t desc_layer,
-                                         std::uint64_t ns) noexcept {
-  if (desc_layer >= row_of_layer_.size()) return;
-  const std::size_t row = row_of_layer_[desc_layer];
-  if (row == SIZE_MAX) return;
-  host_ns_[row].fetch_add(ns, std::memory_order_relaxed);
-}
-
 void LayerProfiler::record_fused_host_ns(
     std::span<const std::size_t> desc_layers, std::uint64_t ns) noexcept {
   // Resolve the profiled rows and their modeled cycle weights first; the

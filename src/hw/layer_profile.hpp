@@ -1,6 +1,6 @@
 // Per-layer profiling of one deployed model member on the simulated
 // accelerator: modeled cycles, DMA bytes, and datapath occupancy per layer,
-// accumulated across every run_batch pass the executor serves.
+// accumulated across every compiled-plan pass the member serves.
 //
 // The per-layer *modeled* numbers come from the same hw::CycleModel /
 // hw::TrafficModel tables the serving cost accounting is priced on, captured
@@ -9,7 +9,7 @@
 // accumulated totals are exactly samples x the per-sample table
 // (tests/test_layer_profile.cpp enforces both). On top of the static tables
 // the profiler accumulates what actually ran: passes, samples, per-layer
-// host-side wall nanoseconds of the fast kernels (where the *host* burns its
+// host-side wall nanoseconds of the plan steps (where the *host* burns its
 // time — distinct from where the modeled device burns cycles, which is the
 // point of recording both).
 //
@@ -19,8 +19,8 @@
 // a perfectly-tiled layer sits below 1.0; pool/elementwise layers stream
 // through otherwise-idle datapath slots and are reported at 0.
 //
-// Thread-safety: record_pass / record_layer_host_ns are called concurrently
-// from every engine worker sharing the executor — all accumulators are
+// Thread-safety: record_pass / record_fused_host_ns are called concurrently
+// from every engine worker sharing the member's plan — all accumulators are
 // relaxed atomics. snapshot() is safe concurrently with recording and
 // returns a stats-grade (monotonic counters, not an atomic cut) view.
 #pragma once
@@ -52,13 +52,13 @@ struct LayerProfileRow {
 
   // Accumulated over every recorded pass.
   std::uint64_t cycles_total = 0;  ///< == samples x cycles_per_sample
-  std::uint64_t host_ns_total = 0; ///< wall time of the fast kernel
+  std::uint64_t host_ns_total = 0; ///< wall time of the plan steps
 };
 
 /// Consistent view of one member's accumulated profile.
 struct LayerProfile {
   std::vector<LayerProfileRow> rows;
-  std::uint64_t passes = 0;   ///< run_batch calls recorded
+  std::uint64_t passes = 0;   ///< compiled-plan batches recorded
   std::uint64_t samples = 0;  ///< samples across those passes
 
   /// Per-sample total == CycleReport::total_cycles for the same workload
@@ -70,8 +70,8 @@ struct LayerProfile {
   std::uint64_t host_ns_total = 0;
 };
 
-/// The accumulator AcceleratorExecutor::run_batch reports into (attached by
-/// the owning backend via AcceleratorExecutor::set_profiler).
+/// The accumulator compile::run_plan_batch reports into (one per member,
+/// owned by the serving backend).
 class LayerProfiler {
  public:
   /// Builds the static per-layer tables from the same workload /
@@ -79,21 +79,15 @@ class LayerProfiler {
   LayerProfiler(const QNetDesc& desc, std::size_t in_c, std::size_t in_h,
                 std::size_t in_w, const AcceleratorConfig& config);
 
-  /// One executed run_batch pass of `batch_samples` samples.
+  /// One executed compiled-plan batch of `batch_samples` samples.
   void record_pass(std::size_t batch_samples) noexcept;
 
-  /// Host wall time of one fast-kernel invocation for desc layer index
-  /// `desc_layer` (the executor's index; flatten layers are free and
-  /// ignored).
-  void record_layer_host_ns(std::size_t desc_layer,
-                            std::uint64_t ns) noexcept;
-
-  /// Host wall time of one *fused* compiled-plan step covering the desc
-  /// layers in `desc_layers` (source order). The time is attributed back to
-  /// the source layers' rows proportionally to their modeled cycle shares
-  /// (the fused kernel gives no per-stage boundary to measure), remainder
-  /// to the first row; layers without a row (flatten) are skipped. A
-  /// single-layer step degenerates to record_layer_host_ns.
+  /// Host wall time of one compiled-plan step covering the desc layers in
+  /// `desc_layers` (source order). The time is attributed back to the
+  /// source layers' rows proportionally to their modeled cycle shares (a
+  /// fused kernel gives no per-stage boundary to measure), remainder to the
+  /// first row; layers without a row (flatten) or past the desc's end are
+  /// skipped. A single-layer step charges its one row in full.
   void record_fused_host_ns(std::span<const std::size_t> desc_layers,
                             std::uint64_t ns) noexcept;
 

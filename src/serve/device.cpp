@@ -33,22 +33,16 @@ SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
   // what the compiler can see of the device, so same-speed replicas (dev0,
   // dev1, ...) share one artifact while heterogeneous placements get
   // per-class entries.
-  std::string device_key;
-  if (compile.enabled) {
-    std::ostringstream key;
-    key << "sf=" << device_.speed_factor;
-    device_key = key.str();
-  }
+  std::ostringstream key;
+  key << "sf=" << device_.speed_factor;
+  const std::string device_key = key.str();
 
-  executors_.reserve(members.size());
-  for (hw::QNetDesc& desc : members) {
-    if (compile.enabled) {
-      plans_.push_back(plan_cache != nullptr
-                           ? plan_cache->get_or_compile(desc, in_c, in_h, in_w,
-                                                        device_key, compile)
-                           : compile::compile_qnet(desc, in_c, in_h, in_w,
-                                                   compile));
-    }
+  for (const hw::QNetDesc& desc : members) {
+    plans_.push_back(plan_cache != nullptr
+                         ? plan_cache->get_or_compile(desc, in_c, in_h, in_w,
+                                                      device_key, compile)
+                         : compile::compile_qnet(desc, in_c, in_h, in_w,
+                                                 compile));
     // Precompute this member's modeled per-inference cost. Ensemble members
     // run on parallel processing units, so batch latency is the max over
     // members while DMA is their sum.
@@ -64,17 +58,8 @@ SimulatedAcceleratorBackend::SimulatedAcceleratorBackend(
           static_cast<double>(layer.input_bytes + layer.output_bytes);
     }
 
-    // The profiler snapshots the member's cycle/traffic tables, so build it
-    // before the descriptor moves into the executor.
     profilers_.push_back(std::make_unique<hw::LayerProfiler>(
         desc, in_c, in_h, in_w, accel_));
-    executors_.push_back(
-        std::make_unique<hw::AcceleratorExecutor>(std::move(desc)));
-    executors_.back()->set_profiler(profilers_.back().get());
-  }
-  member_ptrs_.reserve(executors_.size());
-  for (const auto& executor : executors_) {
-    member_ptrs_.push_back(executor.get());
   }
 }
 
@@ -92,26 +77,18 @@ BatchResult SimulatedAcceleratorBackend::execute(
     const tensor::Tensor& stacked, hw::ExecScratch& scratch) const {
   const std::size_t batch_size = stacked.shape().n();
   BatchResult result;
-  if (!plans_.empty()) {
-    // Compiled path: every member executes its deploy-time plan —
-    // bit-identical to the run_batch path below (the plan only reorders
-    // exact integer arithmetic), with fused-step host time attributed back
-    // to source layers in the same profilers. Member logits averaged
-    // exactly as hw::run_ensemble_batch does.
-    result.logits = compile::run_plan_batch(*plans_.front(), stacked, scratch,
-                                            profilers_.front().get());
-    for (std::size_t m = 1; m < plans_.size(); ++m) {
-      result.logits.add(compile::run_plan_batch(*plans_[m], stacked, scratch,
-                                                profilers_[m].get()));
-    }
-    if (plans_.size() > 1) {
-      result.logits.scale(1.0f / static_cast<float>(plans_.size()));
-    }
-  } else {
-    result.logits =
-        member_ptrs_.size() == 1
-            ? member_ptrs_.front()->run_batch(stacked, scratch)
-            : hw::run_ensemble_batch(member_ptrs_, stacked, scratch);
+  // Every member executes its deploy-time plan — bit-identical to run()
+  // (the plan only reorders exact integer arithmetic), with fused-step host
+  // time attributed back to source layers in the member's profiler. Member
+  // logits averaged exactly as hw::run_ensemble does.
+  result.logits = compile::run_plan_batch(*plans_.front(), stacked, scratch,
+                                          profilers_.front().get());
+  for (std::size_t m = 1; m < plans_.size(); ++m) {
+    result.logits.add(compile::run_plan_batch(*plans_[m], stacked, scratch,
+                                              profilers_[m].get()));
+  }
+  if (plans_.size() > 1) {
+    result.logits.scale(1.0f / static_cast<float>(plans_.size()));
   }
   result.sim_accel_us = batch_us(batch_size);
   result.sim_dma_bytes = batch_dma_bytes(batch_size);

@@ -18,8 +18,8 @@
 // DMA bytes of the batch, and the cost accessors (sample_us / batch_us /
 // batch_dma_bytes) feed admission control, paced execution, and
 // load-normalized routing. SimulatedAcceleratorBackend — the only
-// production implementation — wraps the bit-accurate AcceleratorExecutor
-// members plus the hw::CycleModel / hw::TrafficModel accounting; tests
+// production implementation — wraps the members' bit-accurate compiled
+// plans plus the hw::CycleModel / hw::TrafficModel accounting; tests
 // inject stub backends to exercise the engine against synthetic devices,
 // and a future shared-PU cross-model backend plugs in here without touching
 // the engine.
@@ -28,7 +28,7 @@
 //   - execute() is called concurrently from every worker thread of every
 //     engine deployed on the backend (each caller with its own ExecScratch);
 //     implementations must be const-safe under that, like
-//     AcceleratorExecutor::run_batch is. execute() may block (a shared
+//     compile::run_plan_batch is. execute() may block (a shared
 //     device serializes tenants' passes), but must eventually return for
 //     every call — the engine's drain-on-stop guarantee depends on it.
 //   - The cost accessors (sample_us / batch_us / batch_dma_bytes) and
@@ -224,8 +224,8 @@ class ExecutionBackend {
   }
 };
 
-/// Production backend: the paper's simulated accelerator. Owns the
-/// bit-accurate executor members (one simulated processing unit each,
+/// Production backend: the paper's simulated accelerator. Holds one
+/// bit-accurate compiled plan per member (one simulated processing unit each,
 /// logits averaged for ensembles) and prices every batch on hw::CycleModel
 /// (latency, scaled by the device's speed_factor — ensemble latency is the
 /// max over members, batch latency is sequential samples) and
@@ -238,12 +238,11 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   /// geometry. Throws std::invalid_argument on an empty member list or an
   /// invalid device (speed_factor <= 0).
   ///
-  /// `compile` controls deploy-time compilation (the default lowers every
-  /// member into a CompiledPlan executed by execute(); .enabled = false
-  /// keeps the legacy per-batch run_batch path — the ablation baseline).
-  /// A non-null `plan_cache` shares plans across backends: replicas and
-  /// shared-PU tenants deploying identical content on the same device
-  /// class reuse one artifact. The backend pins its plans by shared_ptr,
+  /// Every member is lowered into a CompiledPlan that execute() runs;
+  /// `compile` selects the passes (compile/plan.hpp). A non-null
+  /// `plan_cache` shares plans across backends: replicas and shared-PU
+  /// tenants deploying identical content on the same device class reuse
+  /// one artifact. The backend pins its plans by shared_ptr,
   /// so cache eviction or a hot redeploy never invalidates a deployed
   /// backend (see compile/plan_cache.hpp).
   SimulatedAcceleratorBackend(
@@ -263,7 +262,7 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
   [[nodiscard]] double batch_us(std::size_t batch_size) const override;
   [[nodiscard]] double batch_dma_bytes(std::size_t batch_size) const override;
   [[nodiscard]] std::size_t member_count() const noexcept override {
-    return executors_.size();
+    return plans_.size();
   }
   [[nodiscard]] std::vector<hw::LayerProfile> layer_profiles() const override;
 
@@ -271,11 +270,7 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
     return accel_;
   }
 
-  /// True when execute() runs compiled plans (compilation enabled at
-  /// construction).
-  [[nodiscard]] bool compiled() const noexcept { return !plans_.empty(); }
-
-  /// The compiled plan of member `member` (null when uncompiled).
+  /// The compiled plan of member `member` (null when out of range).
   [[nodiscard]] std::shared_ptr<const compile::CompiledPlan> plan(
       std::size_t member = 0) const {
     return member < plans_.size() ? plans_[member] : nullptr;
@@ -284,13 +279,11 @@ class SimulatedAcceleratorBackend final : public ExecutionBackend {
  private:
   DeviceSpec device_;
   hw::AcceleratorConfig accel_;
-  std::vector<std::unique_ptr<hw::AcceleratorExecutor>> executors_;
-  std::vector<const hw::AcceleratorExecutor*> member_ptrs_;
-  /// Deploy-time compiled plans, one per member (empty = uncompiled legacy
-  /// path). shared_ptr pins each plan across cache eviction / redeploy.
+  /// Deploy-time compiled plans, one per member. shared_ptr pins each plan
+  /// across cache eviction / redeploy.
   std::vector<std::shared_ptr<const compile::CompiledPlan>> plans_;
-  /// One profiling sink per member, attached to the matching executor; the
-  /// executors report passes into them from every worker thread.
+  /// One profiling sink per member; execute() reports every member's plan
+  /// run into it from every worker thread.
   std::vector<std::unique_ptr<hw::LayerProfiler>> profilers_;
 
   // Per-sample modeled costs, precomputed from the members' workloads.

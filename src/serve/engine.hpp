@@ -134,11 +134,9 @@ struct DeployConfig {
   /// accounting; `device.speed_factor` scales its effective clock.
   hw::AcceleratorConfig accel{};
 
-  /// Deploy-time compilation knobs (src/compile): by default every member
-  /// is lowered through the pass pipeline into a CompiledPlan the backend
-  /// executes — bit-identical to the uncompiled path, measurably faster.
-  /// .enabled = false deploys the legacy per-batch run_batch path (the
-  /// ablation baseline).
+  /// Deploy-time compilation knobs (src/compile): every member is lowered
+  /// through the pass pipeline into a CompiledPlan the backend executes —
+  /// bit-identical to AcceleratorExecutor::run(); these select the passes.
   compile::CompileOptions compile{};
 
   /// Declared traffic contract for this model (see

@@ -76,7 +76,7 @@ void SharedDevice::sleep_device_us(std::int64_t duration_us) const {
 std::shared_ptr<const SharedDeviceBackend> SharedDevice::attach(
     std::vector<hw::QNetDesc> members, const DeployConfig& config,
     DeviceSpec resolved) {
-  // The tenant's executors and per-sample pricing are exactly a dedicated
+  // The tenant's compiled plans and per-sample pricing are exactly a dedicated
   // simulated backend on this PU's provisioning; the shared device adds the
   // queue, pass scheduling, and switch costs on top.
   auto tenant = std::make_unique<Tenant>();
@@ -139,10 +139,11 @@ void SharedDevice::bind_tenant_load(const SharedDeviceBackend& backend,
 void SharedDevice::release_tenant(Tenant* tenant) {
   util::MutexLock lock(mutex_);
   // The owning engine drained before its backend died, so nothing of this
-  // tenant is queued or executing; drop the executors and predecoded
-  // weights so redeploy churn cannot accumulate dead models' working
-  // sets. The accounting row (label, counters) stays for snapshots, and
-  // switch_us stays valid in case resident_ still points here.
+  // tenant is queued or executing; drop its pins on the compiled plans
+  // (predecoded weights, gather tables) and its profilers so redeploy
+  // churn cannot accumulate dead models' working sets. The accounting row
+  // (label, counters) stays for snapshots, and switch_us stays valid in
+  // case resident_ still points here.
   tenant->lanes[kInteractiveLane].clear();
   tenant->lanes[kBatchLane].clear();
   tenant->load_provider = nullptr;
@@ -348,7 +349,7 @@ void SharedDevice::execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
 
   plan.start_us = now_device_us();
   // Execute every sub-batch through its own tenant's bit-accurate
-  // executors, group by group — pass composition can never change the
+  // compiled plans, group by group — pass composition can never change the
   // logits.
   double compute_total_us = 0.0;
   for (const PassPlan::Group& group : plan.groups) {
@@ -596,7 +597,7 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
   }
 
   // Execute the chunk's sample range through the tenant's bit-accurate
-  // executors. Sub-batches fully inside the chunk take the ordinary
+  // compiled plans. Sub-batches fully inside the chunk take the ordinary
   // whole-tensor path; a sub-batch split by the chunk boundary executes as
   // sample slices — per-sample identical arithmetic, so the staged logits
   // are bit-identical to an unsplit execution.

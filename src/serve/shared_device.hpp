@@ -40,9 +40,10 @@
 // maximal chunk plus a reload — the tightened term
 // `analysis::analyze_capacity` proves and `bench/ablation_shared_pu`
 // enforces. Chunking slices sub-batch tensors on sample boundaries and runs
-// them through the same bit-accurate executors, so it can never change any
-// logit — only when a sub-batch completes. With the default granularity 0
-// passes stay monolithic (the pre-preemption behaviour, bit-for-bit).
+// them through the same bit-accurate compiled plans, so it can never change
+// any logit — only when a sub-batch completes. With the default
+// granularity 0 passes stay monolithic (the pre-preemption behaviour,
+// bit-for-bit).
 //
 // Cost model: a pass pays
 //   - `pass_overhead_us` once (pipeline fill/drain + dispatch), plus
@@ -59,7 +60,7 @@
 // another model evicts them, so co-batching's throughput win — amortizing
 // reloads and per-pass overhead over more samples — is the same
 // statistical-multiplexing effect a real shared accelerator sees. Logits
-// are computed by each tenant's own bit-accurate executors regardless of
+// are computed by each tenant's own bit-accurate plans regardless of
 // pass composition, so co-batching can never change *what* a batch
 // computes, only *when* it completes.
 //
@@ -253,7 +254,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   SharedDevice(const SharedDevice&) = delete;
   SharedDevice& operator=(const SharedDevice&) = delete;
 
-  /// Attaches one tenant engine: builds the bit-accurate executors for
+  /// Attaches one tenant engine: compiles the bit-accurate plans for
   /// `members` priced on this device's spec, registers a tenant lane, and
   /// returns the ExecutionBackend the engine submits through. Called by
   /// ReplicaSet for every replica whose placement entry carries this
@@ -328,13 +329,13 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     double extra_dma_bytes = 0.0;  ///< weight bytes for reloads it carried
   };
 
-  /// One attached engine: its executors, switch pricing, lanes, accounting.
+  /// One attached engine: its plans, switch pricing, lanes, accounting.
   /// Heap-allocated and never destroyed before the device, so Tenant*
   /// stays valid across concurrent attach() reallocation of tenants_;
   /// everything but the accounting/lane fields is immutable after attach.
   /// When the tenant's backend is destroyed (undeploy/redeploy), `sim` —
-  /// the heavy part: executors and predecoded weights — is released and
-  /// the row freezes; churning redeploys on a long-lived PU must not
+  /// the heavy part: compiled plans and profilers — is released and the
+  /// row freezes; churning redeploys on a long-lived PU must not
   /// accumulate dead models' working sets.
   struct Tenant {
     std::string label;
@@ -433,7 +434,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// SharedDeviceBackend).
   void submit_and_wait(Job& job) EXCLUDES(mutex_);
 
-  /// Called by ~SharedDeviceBackend: frees the tenant's executors and load
+  /// Called by ~SharedDeviceBackend: frees the tenant's plans and load
   /// provider (its engine has drained, so the lanes are empty) while
   /// keeping the accounting row readable in snapshots.
   void release_tenant(Tenant* tenant) EXCLUDES(mutex_);

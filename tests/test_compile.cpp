@@ -1,6 +1,6 @@
 // The deploy-time compiler (src/compile): pass pipeline, plan cache, and
 // plan executor. The load-bearing contract is bit-identity — a compiled
-// plan's logits must equal AcceleratorExecutor::run()/run_batch() exactly,
+// plan's logits must equal AcceleratorExecutor::run() exactly,
 // under every pass ablation and every edge geometry — plus the sharing
 // semantics: plans are immutable, cached per (content, device class), and
 // stay valid for in-flight holders across eviction and hot redeploys. Runs
@@ -70,8 +70,8 @@ Tensor make_images(std::size_t count, std::uint64_t seed) {
   return images;
 }
 
-/// The contract every plan must meet: logits bit-identical to both
-/// uncompiled executor paths on the same desc.
+/// The contract every plan must meet: logits bit-identical to the
+/// reference executor's run() on the same desc.
 void expect_bit_identical(const hw::QNetDesc& desc, const Tensor& images,
                           const CompileOptions& options,
                           const char* context) {
@@ -79,16 +79,11 @@ void expect_bit_identical(const hw::QNetDesc& desc, const Tensor& images,
   hw::ExecScratch scratch;
   const Tensor compiled = run_plan_batch(*plan, images, scratch);
 
-  const hw::AcceleratorExecutor executor(desc);
-  const Tensor reference = executor.run(images);
-  hw::ExecScratch legacy;
-  const Tensor batched = executor.run_batch(images, legacy);
+  const Tensor reference = hw::AcceleratorExecutor(desc).run(images);
 
   ASSERT_EQ(compiled.shape(), reference.shape()) << context;
   EXPECT_EQ(tensor::max_abs_diff(compiled, reference), 0.0f)
       << context << ": compiled plan diverged from run()";
-  EXPECT_EQ(tensor::max_abs_diff(compiled, batched), 0.0f)
-      << context << ": compiled plan diverged from run_batch()";
 }
 
 // ---------------------------------------------------------------- passes
@@ -247,6 +242,38 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndArchitectures, CompiledBitIdentity,
     ::testing::Values(IdentityCase{21, "cifar"}, IdentityCase{22, "alexnet"},
                       IdentityCase{23, "mlp"}, IdentityCase{24, "cifar"}));
+
+TEST(PlanExecutor, RecycledScratchMatchesPerSampleRun) {
+  // One ExecScratch carried across batches of different sizes, as a serving
+  // worker does: buffer recycling must not leak state between batches, and
+  // every sample of a batch must equal its own per-sample run().
+  CompileOptions passes_off;
+  passes_off.fuse = false;
+  passes_off.specialize = false;
+  passes_off.strategy = ConvStrategy::kForceDirect;
+  for (const char* architecture : {"mlp", "cifar"}) {
+    const hw::QNetDesc desc = make_zoo_qnet(20, architecture);
+    const hw::AcceleratorExecutor executor(desc);
+    for (const CompileOptions& options : {CompileOptions{}, passes_off}) {
+      const auto plan = compile_qnet(desc, kInC, kInH, kInW, options);
+      hw::ExecScratch scratch;
+      for (const std::size_t batch : {std::size_t{7}, std::size_t{3}}) {
+        const Tensor images = make_images(batch, 99 + batch);
+        const Tensor batched = run_plan_batch(*plan, images, scratch);
+        ASSERT_EQ(batched.shape().n(), batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+          const Tensor solo =
+              executor.run(tensor::slice_outer(images, i, i + 1));
+          EXPECT_EQ(tensor::max_abs_diff(
+                        solo, tensor::slice_outer(batched, i, i + 1)),
+                    0.0f)
+              << architecture << " fuse=" << options.fuse << " batch "
+              << batch << " sample " << i << " diverged";
+        }
+      }
+    }
+  }
+}
 
 // --------------------------------------------------------- edge geometries
 
@@ -425,33 +452,8 @@ TEST(PlanCache, ReplicasAndRenamedDeploymentsShareOnePlan) {
           &server.engine("second")->backend());
   ASSERT_NE(backend_first, nullptr);
   ASSERT_NE(backend_second, nullptr);
-  ASSERT_TRUE(backend_first->compiled());
+  ASSERT_NE(backend_first->plan(), nullptr);
   EXPECT_EQ(backend_first->plan().get(), backend_second->plan().get());
-}
-
-TEST(PlanCache, DisabledCompilationDeploysTheLegacyPath) {
-  serve::ModelServer server;
-  serve::DeployConfig config;
-  config.in_c = kInC;
-  config.in_h = kInH;
-  config.in_w = kInW;
-  config.workers = 1;
-  config.compile.enabled = false;
-  server.deploy("legacy", {make_zoo_qnet(54, "mlp")}, config);
-
-  const auto* backend =
-      dynamic_cast<const serve::SimulatedAcceleratorBackend*>(
-          &server.engine("legacy")->backend());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_FALSE(backend->compiled());
-  EXPECT_EQ(server.plan_cache()->stats().misses, 0u);
-
-  // The legacy path still serves correctly.
-  util::Rng rng{55};
-  Tensor image{Shape{kInC, kInH, kInW}};
-  image.fill_uniform(rng, -1.0f, 1.0f);
-  EXPECT_EQ(server.submit("legacy", std::move(image)).get().status,
-            serve::StatusCode::kOk);
 }
 
 // The satellite contract: a hot-redeploy storm must never evict or mutate

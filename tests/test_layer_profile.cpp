@@ -2,10 +2,10 @@
 // (integer ==, not approximately) with the CycleModel and TrafficModel the
 // serving cost accounting is priced on — same workload, same tables, no
 // recomputation drift. Also covers accumulation across passes, occupancy
-// bounds, flatten-row mapping, executor host-time recording, and the
+// bounds, flatten-row mapping, step host-time recording, and the
 // engine-integrated profiles a ModelServer deployment exposes. Runs under
 // ThreadSanitizer and ASan+UBSan in CI (see ci.yml): record_pass /
-// record_layer_host_ns race snapshot() by design.
+// record_fused_host_ns race snapshot() by design.
 #include "hw/layer_profile.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <variant>
 #include <vector>
 
-#include "hw/executor.hpp"
 #include "hw/traffic_model.hpp"
 #include "nn/zoo.hpp"
 #include "serve/server.hpp"
@@ -170,50 +169,19 @@ TEST(LayerProfiler, HostNsForFlattenAndOutOfRangeLayersIsIgnored) {
   LayerProfiler profiler(desc, kInC, kInH, kInW, AcceleratorConfig{});
 
   // Desc layer 0 is the flatten; both it and a bogus index must be dropped.
-  profiler.record_layer_host_ns(0, 1000);
-  profiler.record_layer_host_ns(desc.layers.size() + 5, 1000);
+  const std::size_t flatten[] = {0};
+  const std::size_t out_of_range[] = {desc.layers.size() + 5};
+  profiler.record_fused_host_ns(flatten, 1000);
+  profiler.record_fused_host_ns(out_of_range, 1000);
   EXPECT_EQ(profiler.snapshot().host_ns_total, 0u);
 
   // A real (post-flatten) layer accumulates.
-  profiler.record_layer_host_ns(1, 250);
-  profiler.record_layer_host_ns(1, 250);
+  const std::size_t first_fc[] = {1};
+  profiler.record_fused_host_ns(first_fc, 250);
+  profiler.record_fused_host_ns(first_fc, 250);
   const LayerProfile profile = profiler.snapshot();
   EXPECT_EQ(profile.host_ns_total, 500u);
   EXPECT_EQ(profile.rows[0].host_ns_total, 500u);
-}
-
-TEST(LayerProfiler, ExecutorReportsPassesSamplesAndHostTime) {
-  const QNetDesc desc = make_conv_qnet(17);
-  LayerProfiler profiler(desc, kInC, kInH, kInW, AcceleratorConfig{});
-  AcceleratorExecutor executor(make_conv_qnet(17));
-  executor.set_profiler(&profiler);
-
-  util::Rng rng{99};
-  Tensor images{Shape{3, kInC, kInH, kInW}};
-  images.fill_uniform(rng, -1.0f, 1.0f);
-  ExecScratch scratch;
-  const Tensor with_profiler = executor.run_batch(images, scratch);
-
-  const LayerProfile profile = profiler.snapshot();
-  EXPECT_EQ(profile.passes, 1u);
-  EXPECT_EQ(profile.samples, 3u);
-  EXPECT_GT(profile.host_ns_total, 0u);
-  // Every conv/fc row burned measurable host time in the fast kernel.
-  for (const LayerProfileRow& row : profile.rows) {
-    if (row.kind == LayerWork::Kind::kConv ||
-        row.kind == LayerWork::Kind::kFullyConnected) {
-      EXPECT_GT(row.host_ns_total, 0u) << row.name;
-    }
-  }
-
-  // Profiling must not perturb the math: logits stay bit-identical.
-  executor.set_profiler(nullptr);
-  ExecScratch scratch2;
-  const Tensor without_profiler = executor.run_batch(images, scratch2);
-  ASSERT_EQ(with_profiler.size(), without_profiler.size());
-  for (std::size_t i = 0; i < with_profiler.size(); ++i) {
-    EXPECT_EQ(with_profiler[i], without_profiler[i]);
-  }
 }
 
 // The TSan target: workers hammer the accumulators while a reader snapshots.
@@ -236,9 +204,10 @@ TEST(LayerProfiler, ConcurrentRecordingAndSnapshotting) {
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kThreads; ++t) {
     writers.emplace_back([&] {
+      const std::size_t layer[] = {1};
       for (std::size_t i = 0; i < kPassesPerThread; ++i) {
         profiler.record_pass(2);
-        profiler.record_layer_host_ns(1, 10);
+        profiler.record_fused_host_ns(layer, 10);
       }
     });
   }
@@ -249,6 +218,7 @@ TEST(LayerProfiler, ConcurrentRecordingAndSnapshotting) {
   const LayerProfile profile = profiler.snapshot();
   EXPECT_EQ(profile.passes, kThreads * kPassesPerThread);
   EXPECT_EQ(profile.samples, 2 * kThreads * kPassesPerThread);
+  EXPECT_EQ(profile.host_ns_total, 10 * kThreads * kPassesPerThread);
 }
 
 TEST(LayerProfile, EngineIntegrationCountsEveryServedSample) {

@@ -315,49 +315,6 @@ TEST(RequestQueue, FifoModeIgnoresPriority) {
   queue.close();
 }
 
-// ---- executor batched fast path -------------------------------------------
-
-TEST(RunBatch, BitIdenticalToPerSampleRun) {
-  for (const bool conv_net : {false, true}) {
-    const hw::QNetDesc desc = make_test_qnet(conv_net ? 21 : 20, conv_net);
-    const hw::AcceleratorExecutor executor(desc);
-
-    util::Rng rng{99};
-    Tensor images{Shape{7, 3, 16, 16}};
-    images.fill_uniform(rng, -1.0f, 1.0f);
-
-    hw::ExecScratch scratch;
-    // Two passes through the same scratch: buffer recycling must not leak
-    // state between batches.
-    for (int pass = 0; pass < 2; ++pass) {
-      const Tensor batched = executor.run_batch(images, scratch);
-      for (std::size_t i = 0; i < images.shape().n(); ++i) {
-        const Tensor sample = tensor::slice_outer(images, i, i + 1);
-        const Tensor solo = executor.run(sample);
-        const Tensor from_batch = tensor::slice_outer(batched, i, i + 1);
-        EXPECT_EQ(tensor::max_abs_diff(solo, from_batch), 0.0f)
-            << "sample " << i << " diverged (conv_net=" << conv_net << ")";
-      }
-    }
-  }
-}
-
-TEST(RunBatch, EnsembleBatchMatchesRunEnsemble) {
-  const hw::QNetDesc desc_a = make_test_qnet(31, false);
-  const hw::QNetDesc desc_b = make_test_qnet(32, false);
-  const hw::AcceleratorExecutor exec_a(desc_a), exec_b(desc_b);
-  const std::vector<const hw::AcceleratorExecutor*> members{&exec_a, &exec_b};
-
-  util::Rng rng{33};
-  Tensor images{Shape{3, 3, 16, 16}};
-  images.fill_uniform(rng, -1.0f, 1.0f);
-
-  hw::ExecScratch scratch;
-  const Tensor batched = hw::run_ensemble_batch(members, images, scratch);
-  const Tensor reference = hw::run_ensemble(members, images);
-  EXPECT_EQ(tensor::max_abs_diff(batched, reference), 0.0f);
-}
-
 // ---- engine ----------------------------------------------------------------
 
 TEST(InferenceEngine, ResponsesMatchDirectExecution) {
