@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -206,14 +208,16 @@ std::vector<SharedDevice::Job*> SharedDevice::next_pass_locked(
 
   // Coalesce more sub-batches, one per tenant per round-robin sweep so no
   // tenant monopolizes the pass, as long as geometries align and the
-  // sample cap holds. Tenants whose shapes don't align simply wait for
-  // their own (serialized per-model) pass on a later round.
+  // sample cap holds. Each sweep starts behind the lead, whose first
+  // sub-batch is already in: the lead's next one comes last. Tenants whose
+  // shapes don't align simply wait for their own (serialized per-model)
+  // pass on a later round.
   std::size_t total = pass.front()->samples;
   bool progressed = true;
   while (progressed && total < config_.max_pass_samples) {
     progressed = false;
-    for (std::size_t step = 0;
-         step < count && total < config_.max_pass_samples; ++step) {
+    for (std::size_t step = 1;
+         step <= count && total < config_.max_pass_samples; ++step) {
       Tenant& tenant = *active_[(lead + step) % count];
       if (tenant.in_c != lead_tenant.in_c ||
           tenant.in_h != lead_tenant.in_h ||
@@ -239,23 +243,35 @@ std::vector<SharedDevice::Job*> SharedDevice::next_pass_locked(
   // Interactive sub-batches lead the pass — on a chunked device they ride
   // the first chunks instead of waiting out every batch tenant's run —
   // then group by tenant so each model's weights are loaded at most once
-  // per contiguous run (stable: preserves per-tenant FIFO order). The
-  // resident model's group goes first and the rest follow in attach
-  // order, so each pass starts where the last one ended: back-to-back
-  // co-batched passes alternate ends (A B | B A | A B) and pay one reload
-  // each, not one per model.
-  std::vector<const Tenant*> order{resident_};
-  order.insert(order.end(), active_.begin(), active_.end());
-  const auto rank = [&order](const Tenant* tenant) {
-    return std::find(order.begin(), order.end(), tenant) - order.begin();
+  // per contiguous run (stable: preserves per-tenant FIFO order). Each
+  // section puts the model resident when it starts first and the rest in
+  // attach order: the interactive groups start on resident_, the batch
+  // groups on whatever the last interactive group left loaded. So each
+  // pass starts where the last one ended: back-to-back co-batched passes
+  // alternate ends (A B | B A | A B) and pay one reload each, not one per
+  // model.
+  const std::vector<const Tenant*> attach_order(active_.begin(),
+                                                active_.end());
+  const auto group_by_tenant = [&attach_order](
+                                   std::vector<Job*>::iterator begin,
+                                   std::vector<Job*>::iterator end,
+                                   const Tenant* resident) {
+    const auto rank = [&](const Tenant* tenant) -> std::ptrdiff_t {
+      if (tenant == resident) return -1;
+      return std::find(attach_order.begin(), attach_order.end(), tenant) -
+             attach_order.begin();
+    };
+    std::stable_sort(begin, end, [&rank](const Job* a, const Job* b) {
+      return rank(a->owner) < rank(b->owner);
+    });
   };
-  std::stable_sort(pass.begin(), pass.end(),
-                   [&rank](const Job* a, const Job* b) {
-                     if (a->interactive != b->interactive) {
-                       return a->interactive;
-                     }
-                     return rank(a->owner) < rank(b->owner);
-                   });
+  const auto batch =
+      std::stable_partition(pass.begin(), pass.end(),
+                            [](const Job* job) { return job->interactive; });
+  group_by_tenant(pass.begin(), batch, resident_);
+  group_by_tenant(batch, pass.end(),
+                  batch == pass.begin() ? resident_
+                                        : (*std::prev(batch))->owner);
   return pass;
 }
 
@@ -312,148 +328,7 @@ void SharedDevice::wait_for_work_locked() {
   }
 }
 
-SharedDevice::PassPlan SharedDevice::plan_pass_locked() {
-  // Plan the pass while still holding the lock: contiguous same-tenant
-  // ranges ("groups"), each paying one weight reload iff its model is
-  // not the resident one. Jobs already left the lanes, so concurrent
-  // submitters cannot perturb the plan.
-  PassPlan plan;
-  plan.jobs = next_pass_locked(/*interactive_only=*/false);
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    plan.samples += plan.jobs[i]->samples;
-    if (plan.groups.empty() ||
-        plan.groups.back().tenant != plan.jobs[i]->owner) {
-      PassPlan::Group group;
-      group.begin = i;
-      group.tenant = plan.jobs[i]->owner;
-      group.switched = resident_ != plan.jobs[i]->owner;
-      if (group.switched) plan.switch_total_us += group.tenant->switch_us;
-      resident_ = plan.jobs[i]->owner;
-      plan.groups.push_back(group);
-    }
-    plan.groups.back().end = i + 1;
-    plan.groups.back().samples += plan.jobs[i]->samples;
-  }
-  return plan;
-}
-
-void SharedDevice::execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
-                                bool& thread_labeled) {
-  obs::TraceRecorder& rec = obs::trace();
-  const bool tracing = rec.enabled();
-  if (tracing && !thread_labeled) {
-    // Lazy: name this PU's dispatcher track the first time tracing is on.
-    rec.set_thread_label(rec.intern("pu/" + spec_.name));
-    thread_labeled = true;
-  }
-
-  plan.start_us = now_device_us();
-  // Execute every sub-batch through its own tenant's bit-accurate
-  // compiled plans, group by group — pass composition can never change the
-  // logits.
-  double compute_total_us = 0.0;
-  for (const PassPlan::Group& group : plan.groups) {
-    const std::int64_t group_start = now_device_us();
-    if (tracing && group.switched) {
-      rec.record_instant("weight_reload", "pu", group_start, 0,
-                         "switch_us",
-                         static_cast<std::int64_t>(group.tenant->switch_us),
-                         group.tenant->trace_model);
-    }
-    for (std::size_t i = group.begin; i < group.end; ++i) {
-      Job* job = plan.jobs[i];
-      job->result = job->owner->sim->execute(*job->stacked, scratch);
-      compute_total_us += job->result.sim_accel_us;
-    }
-    if (tracing) {
-      // One span per model riding this pass: co-batch membership is
-      // visible as adjacent tenant_group spans under one pu_pass.
-      rec.record_span("tenant_group", "pu", group_start,
-                      now_device_us() - group_start, 0, "samples",
-                      static_cast<std::int64_t>(group.samples),
-                      group.tenant->trace_model);
-    }
-  }
-  plan.cost_us =
-      config_.pass_overhead_us + plan.switch_total_us + compute_total_us;
-
-  if (config_.paced) {
-    // The device is the single pacing authority: hold the whole pass
-    // until the modeled PU would have finished it.
-    const std::int64_t target_us =
-        plan.start_us + static_cast<std::int64_t>(plan.cost_us);
-    sleep_device_us(target_us - now_device_us());
-  }
-
-  if (tracing) {
-    rec.record_span("pu_pass", "pu", plan.start_us,
-                    now_device_us() - plan.start_us, 0, "samples",
-                    static_cast<std::int64_t>(plan.samples));
-  }
-}
-
-void SharedDevice::retire_pass_locked(PassPlan& plan) {
-  std::size_t distinct_models = 0;
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    if (g == 0 ||
-        plan.groups[g].tenant->model != plan.groups[g - 1].tenant->model) {
-      ++distinct_models;
-    }
-  }
-  obs::TraceRecorder& rec = obs::trace();
-  if (rec.enabled() && distinct_models > 1) {
-    rec.record_instant("cobatched_pass", "pu", plan.start_us, 0, "models",
-                       static_cast<std::int64_t>(distinct_models));
-  }
-  ++passes_;
-  ++chunks_;  // a monolithic pass is one chunk; chunks == passes here
-  if (distinct_models > 1) ++cobatched_passes_;
-  for (const PassPlan::Group& group : plan.groups) {
-    model_switches_ += group.switched;
-  }
-  busy_us_ += plan.cost_us;
-  switch_busy_us_ += plan.switch_total_us;
-
-  // Retire the pass: attribute its cost exactly across the sub-batches
-  // (compute is each job's own; overhead splits by pass samples; each
-  // group's reload splits by that group's samples), so the tenants' busy
-  // times sum to the device's and a shared PU can never read > 100%
-  // utilized from its tenants' rows.
-  for (const PassPlan::Group& group : plan.groups) {
-    for (std::size_t i = group.begin; i < group.end; ++i) {
-      Job* job = plan.jobs[i];
-      Tenant& tenant = *job->owner;
-      const double sample_share =
-          plan.samples == 0 ? 0.0
-                            : static_cast<double>(job->samples) /
-                                  static_cast<double>(plan.samples);
-      const double group_share =
-          group.samples == 0 ? 0.0
-                             : static_cast<double>(job->samples) /
-                                   static_cast<double>(group.samples);
-      const double attributed_us =
-          job->result.sim_accel_us +
-          config_.pass_overhead_us * sample_share +
-          (group.switched ? tenant.switch_us * group_share : 0.0);
-      // DMA: activations always stream; weights only crossed the bus if
-      // this group actually reloaded them (resident otherwise).
-      const double weight_bytes = tenant.sim->batch_dma_bytes(0);
-      const double act_bytes =
-          tenant.sim->batch_dma_bytes(job->samples) - weight_bytes;
-      job->result.sim_accel_us = attributed_us;
-      job->result.sim_dma_bytes =
-          act_bytes + (group.switched ? weight_bytes * group_share : 0.0);
-
-      tenant.sub_batches += 1;
-      tenant.samples += job->samples;
-      tenant.busy_us += attributed_us;
-      tenant.pending_us = std::max(0.0, tenant.pending_us - job->est_cost_us);
-      job->done = true;
-    }
-  }
-}
-
-// ---- Preemptible (chunked) execution ----------------------------------------
+// ---- Pass execution: the chunk loop -----------------------------------------
 
 SharedDevice::ActivePass SharedDevice::start_pass_locked(
     bool interactive_only) {
@@ -552,9 +427,12 @@ SharedDevice::Chunk SharedDevice::plan_chunk_locked(ActivePass& pass) {
   // compute budget is spent (always at least one sample, so a granularity
   // below one sample degrades to per-sample chunks, never to zero
   // progress) or the tenant's contiguous run ends — a chunk never mixes
-  // tenants, so it pays at most the one reload above.
+  // tenants, so it pays at most the one reload above. Granularity 0 is an
+  // unbounded budget: the chunk is the tenant's whole contiguous group.
   const double per_sample_us = tenant->sim->sample_us();
-  const double budget_us = config_.preempt_granularity_us;
+  const double budget_us = config_.preempt_granularity_us > 0.0
+                               ? config_.preempt_granularity_us
+                               : std::numeric_limits<double>::infinity();
   double used_us = 0.0;
   std::size_t j = pass.next_job;
   std::size_t s = pass.next_sample;
@@ -590,6 +468,11 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
 
   chunk.start_us = now_device_us();
   if (pass.chunks == 0) pass.start_us = chunk.start_us;
+  if (pass.rebase) {
+    pass.timeline_base_us = chunk.start_us;
+    pass.timeline_us = 0.0;
+    pass.rebase = false;
+  }
   if (tracing && chunk.switch_us > 0.0) {
     rec.record_instant("weight_reload", "pu", chunk.start_us, 0, "switch_us",
                        static_cast<std::int64_t>(chunk.switch_us),
@@ -632,10 +515,14 @@ void SharedDevice::execute_chunk(ActivePass& pass, Chunk& chunk,
   chunk.cost_us = chunk.overhead_us + chunk.switch_us + compute_us;
 
   if (config_.paced) {
-    // Pace per chunk, so a suspension takes effect at the modeled chunk
-    // boundary instead of after a whole modeled pass.
+    // Pace per chunk, so a chunk's riders retire (and a suspension takes
+    // effect) at the modeled chunk boundary instead of after a whole
+    // modeled pass. The target is on the pass's own timeline — its base
+    // plus every chunk's modeled cost since, truncated once — so host sleep
+    // overshoot is paid once per pass, not once per chunk.
+    pass.timeline_us += chunk.cost_us;
     const std::int64_t target_us =
-        chunk.start_us + static_cast<std::int64_t>(chunk.cost_us);
+        pass.timeline_base_us + static_cast<std::int64_t>(pass.timeline_us);
     sleep_device_us(target_us - now_device_us());
   }
 
@@ -667,9 +554,9 @@ void SharedDevice::retire_chunk_locked(ActivePass& pass, Chunk& chunk) {
   if (!seen_model) pass.models.push_back(chunk.tenant->model);
 
   // The chunk's reload + overhead ride its lead sub-batch whole (not
-  // split): reloads only ever happen at tenant boundaries, so the
-  // per-tenant totals match what the monolithic attribution would have
-  // produced, and the device/tenant busy sums stay exactly equal.
+  // split): reloads only ever happen at tenant boundaries, so each tenant
+  // pays exactly the reloads its groups caused, and the device/tenant busy
+  // sums stay exactly equal.
   Job* lead = pass.jobs[pass.next_job];
   lead->extra_us += chunk.switch_us + chunk.overhead_us;
   if (chunk.switch_us > 0.0) {
@@ -738,11 +625,15 @@ bool SharedDevice::should_preempt_locked(const ActivePass& pass) const {
 void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
                                     bool& thread_labeled, int depth) {
   obs::TraceRecorder& rec = obs::trace();
+  // Granularity 0 plans one chunk per contiguous tenant group and never
+  // joins, suspends or calls the hook: a monolithic pass whose groups each
+  // retire at their own modeled end.
+  const bool preemptible = config_.preempt_granularity_us > 0.0;
   for (;;) {
     Chunk chunk;
     {
       util::MutexLock lock(mutex_);
-      admit_joiners_locked(pass);
+      if (preemptible) admit_joiners_locked(pass);
       chunk = plan_chunk_locked(pass);
     }
     execute_chunk(pass, chunk, scratch, thread_labeled);
@@ -756,7 +647,7 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
       finished = pass.next_job == pass.jobs.size();
       if (finished) {
         finish_pass_locked(pass);
-      } else if (depth == 0) {
+      } else if (preemptible && depth == 0) {
         // Only outermost passes suspend: a preemption pass is already the
         // most urgent work the device has, so nesting stays depth <= 1.
         preempt = should_preempt_locked(pass);
@@ -780,11 +671,15 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
       event.preempting = preempt;
     }
     pass_retired_.notify_all();
-    if (config_.chunk_hook) config_.chunk_hook(event);
+    if (preemptible && config_.chunk_hook) {
+      config_.chunk_hook(event);
+      pass.rebase = true;  // the hook may hold the dispatcher arbitrarily
+    }
     if (finished) return;
     if (preempt) {
       // Serve every pending probe pass now (several geometry classes need
-      // several passes); the suspended pass resumes right after.
+      // several passes); the suspended pass resumes right after, on a
+      // timeline re-based to the resume point.
       for (;;) {
         ActivePass probe;
         {
@@ -795,6 +690,7 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
         run_pass_chunked(std::move(probe), scratch, thread_labeled,
                          depth + 1);
       }
+      pass.rebase = true;
     }
   }
 }
@@ -802,38 +698,18 @@ void SharedDevice::run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
 void SharedDevice::dispatch_main() {
   hw::ExecScratch scratch;
   bool thread_labeled = false;
-  const bool chunked = config_.preempt_granularity_us > 0.0;
   for (;;) {
-    if (chunked) {
-      ActivePass pass;
-      {
-        util::MutexLock lock(mutex_);
-        wait_for_work_locked();
-        pass = start_pass_locked(/*interactive_only=*/false);
-        if (pass.jobs.empty()) {
-          if (stop_) return;
-          continue;
-        }
-      }
-      run_pass_chunked(std::move(pass), scratch, thread_labeled, 0);
-      continue;
-    }
-    PassPlan plan;
+    ActivePass pass;
     {
       util::MutexLock lock(mutex_);
       wait_for_work_locked();
-      plan = plan_pass_locked();
-      if (plan.jobs.empty()) {
+      pass = start_pass_locked(/*interactive_only=*/false);
+      if (pass.jobs.empty()) {
         if (stop_) return;
         continue;
       }
     }
-    execute_pass(plan, scratch, thread_labeled);
-    {
-      util::MutexLock lock(mutex_);
-      retire_pass_locked(plan);
-    }
-    pass_retired_.notify_all();
+    run_pass_chunked(std::move(pass), scratch, thread_labeled, 0);
   }
 }
 

@@ -17,10 +17,14 @@
 // align; geometry-incompatible work falls back to serialized per-model
 // passes. The pass executes grouped by model, interactive sub-batches
 // first, then *resident first*: the model whose weights are already loaded
-// runs before the others, which follow in attach order. A pass's last
-// group is the next pass's resident-first group, so back-to-back
+// (for the batch groups: the model the last interactive group left
+// loaded) runs before the others, which follow in attach order. A pass's
+// last group is the next pass's resident-first group, so back-to-back
 // co-batched passes alternate ends (A B | B A | ...) and pay one weight
-// reload each instead of one per model. With `cobatch = false` the device
+// reload each instead of one per model. Like the modeled PU, which writes
+// one model's outputs back before it reloads for the next, each group
+// retires at its own modeled end: a pass's first model never waits out the
+// second's reload and compute. With `cobatch = false` the device
 // degrades to classic time-sliced serialization (one sub-batch per pass,
 // strict round-robin over tenants) — the ablation baseline of
 // bench/ablation_shared_pu.
@@ -41,9 +45,11 @@
 // `analysis::analyze_capacity` proves and `bench/ablation_shared_pu`
 // enforces. Chunking slices sub-batch tensors on sample boundaries and runs
 // them through the same bit-accurate compiled plans, so it can never change
-// any logit — only when a sub-batch completes. With the default
-// granularity 0 passes stay monolithic (the pre-preemption behaviour,
-// bit-for-bit).
+// any logit — only when a sub-batch completes. The default granularity 0
+// is the unbounded budget: every contiguous tenant group is one chunk, and
+// the pass never admits joiners, never suspends and never calls the chunk
+// hook. There is one pass loop; a monolithic pass is a chunked pass with
+// unbounded granularity.
 //
 // Cost model: a pass pays
 //   - `pass_overhead_us` once (pipeline fill/drain + dispatch), plus
@@ -65,10 +71,13 @@
 // computes, only *when* it completes.
 //
 // Pacing: with `paced = true` (default) the dispatch thread itself holds
-// each pass (each chunk, when preemptible) until the modeled completion
-// time before resolving the tenants' execute() calls — the device is the
-// single pacing authority, so N tenant engines can never pace N devices'
-// worth of work out of one PU. Tenant engines must leave
+// each chunk until its modeled completion time before resolving the
+// execute() calls that chunk finishes. Chunk k is held until the pass's
+// base time plus the modeled cost of chunks 1..k, so host sleep overshoot
+// does not accumulate chunk by chunk into modeled time; the base moves to
+// the wall clock only after a suspension or a chunk_hook call. The device
+// is the single pacing authority, so N tenant engines can never pace N
+// devices' worth of work out of one PU. Tenant engines must leave
 // DeployConfig.paced_execution off; their backend->paces_execution() tells
 // them so.
 //
@@ -155,8 +164,10 @@ struct SharedDeviceConfig {
   /// tenants' execute() calls, so wall-clock behaviour tracks the device's
   /// cycle model (the shared-device analogue of
   /// DeployConfig.paced_execution — central, one pacing thread per PU).
-  /// Preemptible passes pace chunk by chunk, so a suspension takes effect
-  /// at the modeled chunk boundary, not after a whole modeled pass.
+  /// Passes pace chunk by chunk (one chunk per tenant group when
+  /// preempt_granularity_us is 0), so a group's riders retire and a
+  /// suspension takes effect at the modeled chunk boundary, not after a
+  /// whole modeled pass.
   bool paced = true;
 
   /// Modeled DMA bandwidth for weight reloads when the PU switches models,
@@ -175,8 +186,9 @@ struct SharedDeviceConfig {
   /// each is executed as same-tenant chunks of at most this much modeled
   /// compute (never less than one sample), and between chunks the
   /// dispatcher admits joiners and serves pending interactive probes that
-  /// cannot join (see file comment). 0 (default) keeps passes monolithic —
-  /// the strictly pre-preemption behaviour.
+  /// cannot join (see file comment). 0 (default) makes passes
+  /// non-preemptible: one chunk per contiguous tenant group, no joins, no
+  /// suspensions.
   double preempt_granularity_us = 0.0;
 
   /// Let geometry-compatible sub-batches arriving mid-pass join the pass
@@ -224,8 +236,8 @@ struct SharedDeviceSnapshot {
   std::uint64_t passes = 0;           ///< device passes executed
   std::uint64_t cobatched_passes = 0; ///< passes mixing >= 2 models
   std::uint64_t model_switches = 0;   ///< weight reloads paid
-  std::uint64_t chunks = 0;       ///< execution chunks (== passes when
-                                  ///< preemption is off)
+  std::uint64_t chunks = 0;       ///< execution chunks (one per tenant
+                                  ///< group when preemption is off)
   std::uint64_t preemptions = 0;  ///< passes suspended for a probe
   std::uint64_t joined_jobs = 0;  ///< sub-batches that joined in-flight
                                   ///< passes (continuous batching)
@@ -359,33 +371,10 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     double pending_us = 0.0;
   };
 
-  /// One planned device pass, handed between the dispatch loop's phases:
-  /// the jobs popped from the lanes, their contiguous same-tenant groups
-  /// (each paying at most one weight reload), and the cost totals the
-  /// execute/retire phases fill in. Planned and retired under mutex_;
-  /// executed without it (the jobs already left the lanes, so no
-  /// concurrent submitter can reach them). This is the monolithic
-  /// (preempt_granularity_us == 0) execution unit.
-  struct PassPlan {
-    struct Group {
-      std::size_t begin = 0, end = 0;  ///< [begin, end) into `jobs`
-      Tenant* tenant = nullptr;
-      std::size_t samples = 0;
-      bool switched = false;  ///< pays this tenant's weight reload
-    };
-    std::vector<Job*> jobs;
-    std::vector<Group> groups;
-    std::size_t samples = 0;
-    double switch_total_us = 0.0;
-    /// Filled by execute_pass: modeled pass cost and wall start time.
-    double cost_us = 0.0;
-    std::int64_t start_us = 0;
-  };
-
-  /// One live preemptible pass (preempt_granularity_us > 0): jobs in
-  /// execution order with a cursor; retired jobs fall off in front of the
-  /// cursor, joiners are inserted behind it. Owned by the dispatch thread;
-  /// mutated only under mutex_ between chunks.
+  /// One live device pass: jobs in execution order with a cursor; retired
+  /// jobs fall off in front of the cursor, joiners (preemptible devices
+  /// only) are inserted behind it. Owned by the dispatch thread; mutated
+  /// only under mutex_ between chunks.
   struct ActivePass {
     std::vector<Job*> jobs;
     std::size_t next_job = 0;     ///< first not-fully-executed job
@@ -401,14 +390,23 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
     std::int64_t start_us = 0;
     bool interactive = false;  ///< formed by a preemption, for probes only
     bool overhead_paid = false;  ///< pass_overhead_us charged yet?
+    /// Pacing timeline: each chunk is held until timeline_base_us plus the
+    /// modeled cost of every chunk since the base (timeline_us, summed as
+    /// a double and truncated once per target). `rebase` moves the base to
+    /// the next chunk's start — set for the first chunk, after a suspension
+    /// and after a chunk_hook call, whose wall time is not modeled time.
+    std::int64_t timeline_base_us = 0;
+    double timeline_us = 0.0;
+    bool rebase = true;
     /// Distinct model names seen (co-batch accounting; small by
     /// construction — a pass rarely mixes more than a few models).
     std::vector<std::string> models;
   };
 
   /// One planned chunk of an ActivePass: a contiguous same-tenant sample
-  /// range starting at the pass cursor, plus the reload it pays entering
-  /// it. `end_*` is the cursor after the chunk (end_sample > 0 means
+  /// range starting at the pass cursor (the tenant's whole contiguous
+  /// group when preempt_granularity_us is 0), plus the reload it pays
+  /// entering it. `end_*` is the cursor after the chunk (end_sample > 0 means
   /// jobs[end_job] is split mid-sub-batch).
   struct Chunk {
     Tenant* tenant = nullptr;
@@ -443,12 +441,11 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   [[nodiscard]] double backlog_excluding_us(const Tenant* tenant) const
       EXCLUDES(mutex_);
 
-  /// The dispatch thread's loop. Each iteration is MutexLock scopes around
-  /// lock-free execution phases: {wait for work, plan} under mutex_,
-  /// execute/pace unlocked, {retire} under mutex_ — every locked phase is
-  /// a REQUIRES-annotated helper, so the whole loop stays inside the
-  /// static analysis (no opt-out). With preemption enabled the
-  /// plan/execute/retire cycle runs per *chunk* (run_pass_chunked).
+  /// The dispatch thread's loop: {wait for work, start pass} under mutex_,
+  /// then run_pass_chunked, whose plan/execute/retire cycle runs per
+  /// *chunk* — {plan} under mutex_, execute/pace unlocked, {retire} under
+  /// mutex_. Every locked phase is a REQUIRES-annotated helper, so the
+  /// whole loop stays inside the static analysis (no opt-out).
   void dispatch_main() EXCLUDES(mutex_);
 
   /// Samples currently queued across all active tenant lanes.
@@ -463,22 +460,6 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// a pending interactive sub-batch cuts the window short.
   void wait_for_work_locked() REQUIRES(mutex_);
 
-  /// Pops the next pass (next_pass_locked) and plans its execution:
-  /// contiguous same-tenant groups, each paying one weight reload iff its
-  /// model is not the resident one; updates resident_. Monolithic path.
-  [[nodiscard]] PassPlan plan_pass_locked() REQUIRES(mutex_);
-
-  /// Executes a planned monolithic pass through the tenants' bit-accurate
-  /// executors, records trace spans, and (when paced) holds it until its
-  /// modeled completion. Touches no lane/accounting state — runs unlocked.
-  void execute_pass(PassPlan& plan, hw::ExecScratch& scratch,
-                    bool& thread_labeled) EXCLUDES(mutex_);
-
-  /// Retires an executed monolithic pass: bumps the device counters and
-  /// attributes the pass cost exactly across its sub-batches, marking each
-  /// job done.
-  void retire_pass_locked(PassPlan& plan) REQUIRES(mutex_);
-
   /// Pops the next pass from the tenant lanes: strict round-robin one
   /// sub-batch per pass when cobatch is off; otherwise round-robin across
   /// geometry-compatible tenants up to max_pass_samples. Returned grouped
@@ -491,16 +472,17 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   [[nodiscard]] std::vector<Job*> next_pass_locked(bool interactive_only)
       REQUIRES(mutex_);
 
-  // ---- Preemptible (chunked) execution, preempt_granularity_us > 0 ----
+  // ---- Pass execution: the chunk loop ----
 
-  /// Plans a new preemptible pass: pops jobs (next_pass_locked), fixes the
+  /// Plans a new pass: pops jobs (next_pass_locked), fixes the
   /// pass geometry to the lead tenant's, assigns the sequence number.
   /// Returns an empty-jobs pass when no (matching) work is pending.
   [[nodiscard]] ActivePass start_pass_locked(bool interactive_only)
       REQUIRES(mutex_);
 
   /// Admits pending geometry-compatible sub-batches into the in-flight
-  /// pass up to max_pass_samples (continuous batching): batch joiners are
+  /// pass up to max_pass_samples (continuous batching; preemptible devices
+  /// only): batch joiners are
   /// inserted next to their tenant's unexecuted jobs (grouping minimizes
   /// reloads) or appended; interactive joiners are inserted at the
   /// earliest unexecuted position so they ride the very next chunks.
@@ -508,14 +490,16 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
 
   /// Plans the next chunk: a same-tenant sample range from the pass cursor
   /// whose modeled compute is at most preempt_granularity_us (at least one
-  /// sample), the reload iff the tenant is not resident (updates
-  /// resident_), and the pass overhead on the first chunk.
+  /// sample; unbounded at granularity 0), the reload iff the tenant is not
+  /// resident (updates resident_), and the pass overhead on the first
+  /// chunk.
   [[nodiscard]] Chunk plan_chunk_locked(ActivePass& pass) REQUIRES(mutex_);
 
   /// Executes a planned chunk through the tenant's bit-accurate executors
   /// (slicing sub-batches on sample boundaries when the chunk splits one),
   /// records the chunk trace span, and (when paced) holds it until its
-  /// modeled completion. Touches no lane/accounting state — runs unlocked.
+  /// modeled completion on the pass's timeline. Touches no lane/accounting
+  /// state — runs unlocked.
   void execute_chunk(ActivePass& pass, Chunk& chunk, hw::ExecScratch& scratch,
                      bool& thread_labeled) EXCLUDES(mutex_);
 
@@ -530,7 +514,7 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   /// per-tenant busy sums to device busy across preemption boundaries.
   void retire_job_locked(Job& job) REQUIRES(mutex_);
 
-  /// Bumps pass-level counters once a preemptible pass fully retires and
+  /// Bumps pass-level counters once a pass fully retires and
   /// records its pu_pass span / cobatched_pass instant.
   void finish_pass_locked(ActivePass& pass) REQUIRES(mutex_);
 
@@ -540,11 +524,13 @@ class SharedDevice : public std::enable_shared_from_this<SharedDevice> {
   [[nodiscard]] bool should_preempt_locked(const ActivePass& pass) const
       REQUIRES(mutex_);
 
-  /// Runs one preemptible pass to completion: per chunk, {admit joiners,
-  /// plan chunk} under mutex_, execute unlocked, {retire} under mutex_;
-  /// between chunks, suspends for interactive-only passes when
+  /// Runs one pass to completion: per chunk, {admit joiners, plan chunk}
+  /// under mutex_, execute unlocked, {retire} under mutex_; between chunks
+  /// of a preemptible pass, suspends for interactive-only passes when
   /// should_preempt_locked fires. `depth` bounds the suspension nesting:
-  /// interactive passes (depth 1) never suspend.
+  /// interactive passes (depth 1) never suspend. At granularity 0 there
+  /// are no joins, suspensions or hook calls — every contiguous tenant
+  /// group is one chunk, retired at its own modeled end.
   void run_pass_chunked(ActivePass pass, hw::ExecScratch& scratch,
                         bool& thread_labeled, int depth) EXCLUDES(mutex_);
 

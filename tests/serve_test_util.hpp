@@ -16,9 +16,10 @@
 //                   observe the event stream. The destructor opens the gate
 //                   so a failing test can still shut the server down.
 //   PacingGate    — the same hold on the sleep_us seam of a paced device,
-//                   over a VirtualClock: parks every pass (monolithic or
-//                   chunked) after it executed, before it retires, so a
-//                   test decides exactly what the next pass is formed from.
+//                   over a VirtualClock: parks every chunk (one per tenant
+//                   group of a non-preemptible pass) after it executed,
+//                   before it retires, so a test decides exactly what the
+//                   next chunk or pass is formed from.
 //   make_preempt_qnet / preempt_image — the same tiny quantized MLP zoo
 //                   entries the shared-device suite uses (seeded, so
 //                   schedules replay from a seed).
@@ -197,14 +198,19 @@ class ChunkGate : public DispatcherGate<SharedDeviceChunkEvent> {
 };
 
 /// Parks the dispatcher in the pacing sleep of a paced device (the
-/// sleep_us seam: once per monolithic pass, after it executed and before
-/// it retires; once per chunk when preemptible; never for a pass whose
-/// modeled cost truncates to 0 us), on a VirtualClock the sleep advances
-/// first. The event is the modeled sleep, microseconds.
-/// While parked, the pass's riders are still blocked and the next pass
-/// is not formed yet, so a test can queue exactly that pass's work.
+/// sleep_us seam: once per chunk, after it executed and before it retires
+/// — a non-preemptible pass has one chunk per contiguous tenant group;
+/// never for a chunk whose pacing target is already reached), on a
+/// VirtualClock the sleep advances first. The event is the modeled sleep,
+/// microseconds. While parked, the chunk's riders are still blocked and
+/// the next chunk (or, at a pass's last chunk, the next pass) is not
+/// formed yet, so a test can queue exactly that pass's work.
 class PacingGate : public DispatcherGate<std::int64_t> {
  public:
+  /// The virtual clock's reading, microseconds (at a park: the parked
+  /// chunk's modeled end).
+  [[nodiscard]] std::int64_t now() const noexcept { return clock_.now(); }
+
   void bind(SharedDeviceConfig& config) {
     config.now_us = [this] { return clock_.now(); };
     config.sleep_us = [this](std::int64_t us) {

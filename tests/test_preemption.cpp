@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -63,7 +64,7 @@ std::map<std::string, std::uint64_t> samples_by_model(
   return by_model;
 }
 
-// ---- granularity 0: the monolithic path is untouched ------------------------
+// ---- granularity 0: monolithic passes, one chunk per tenant group ----------
 
 TEST(Preemption, LegacyMonolithicPathUnchanged) {
   const hw::QNetDesc qnet = make_preempt_qnet(910);
@@ -84,10 +85,41 @@ TEST(Preemption, LegacyMonolithicPathUnchanged) {
 
   const SharedDeviceSnapshot snapshot = pu->snapshot();
   EXPECT_EQ(snapshot.chunks, snapshot.passes)
-      << "a monolithic pass is exactly one chunk";
+      << "a one-tenant monolithic pass is exactly one chunk";
   EXPECT_EQ(snapshot.preemptions, 0u);
   EXPECT_EQ(snapshot.joined_jobs, 0u);
   EXPECT_EQ(snapshot.joined_passes, 0u);
+
+  // Two tenants: a pass runs one chunk per tenant group, and still never
+  // joins, suspends or calls the chunk hook.
+  const hw::QNetDesc qnet_b = make_preempt_qnet(912);
+  std::atomic<int> hook_calls{0};
+  SharedDeviceConfig two_config;
+  two_config.paced = false;
+  two_config.chunk_hook = [&hook_calls](const SharedDeviceChunkEvent&) {
+    hook_calls.fetch_add(1, std::memory_order_relaxed);
+  };
+  auto two_pu = SharedDevice::create({}, two_config);
+  ModelServer two;
+  two.deploy("a", {qnet}, tenant_config(two_pu));
+  two.deploy("b", {qnet_b}, tenant_config(two_pu));
+  futures.clear();
+  for (int i = 0; i < 16; ++i) {
+    futures.push_back(two.submit("a", preempt_image(rng)));
+    futures.push_back(two.submit("b", preempt_image(rng)));
+  }
+  for (auto& f : futures) ASSERT_TRUE(ok(f.get().status));
+  two.shutdown();
+
+  const SharedDeviceSnapshot two_snapshot = two_pu->snapshot();
+  // Every request has one priority, so a pass holds one group per model:
+  // two groups when co-batched, one otherwise.
+  EXPECT_EQ(two_snapshot.chunks,
+            two_snapshot.passes + two_snapshot.cobatched_passes);
+  EXPECT_EQ(two_snapshot.preemptions, 0u);
+  EXPECT_EQ(two_snapshot.joined_jobs, 0u);
+  EXPECT_EQ(two_snapshot.joined_passes, 0u);
+  EXPECT_EQ(hook_calls.load(), 0);
 }
 
 // ---- chunking preserves logits bit-for-bit ----------------------------------

@@ -1,7 +1,9 @@
 // Shared-device backend: one physical PU (SharedDevice) serving several
 // models through per-tenant SharedDeviceBackends — creation/validation,
 // cross-model co-batching with bit-identical logits, resident-first pass
-// order (one weight reload per co-batched pass), geometry-mismatch
+// order (one weight reload per co-batched pass), pass formation (one
+// sub-batch per tenant per coalescing sweep), per-group retirement at each
+// tenant group's modeled end, timeline pacing, geometry-mismatch
 // serialization, the time-sliced baseline, aggregate-backlog admission and
 // routing, merged per-device stats rows, and tenant lifecycle storms
 // (undeploy of one model while another keeps submitting). The whole file
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -51,6 +54,12 @@ DeployConfig small_config(std::size_t hw_dim = 16) {
   config.max_batch = 4;
   config.max_wait_us = 500;
   config.workers = 2;
+  return config;
+}
+
+SharedDeviceConfig paced_config(bool paced) {
+  SharedDeviceConfig config;
+  config.paced = paced;
   return config;
 }
 
@@ -188,6 +197,85 @@ TEST(SharedDevice, CoBatchesAcrossModelsWhilePaced) {
   EXPECT_LE(snapshot.utilization, 1.05);
 }
 
+/// Sub-batches submitted straight to tenant backends (no engine), each
+/// blocked in execute() on its own thread, so a test decides exactly which
+/// sub-batches sit in the device lanes when a pass forms. The destructor
+/// runs `unblock` (opens the test's gate) before the futures are joined,
+/// so a failing assertion still lets every blocked submitter drain.
+class DirectSubmitter {
+ public:
+  struct SubBatch {
+    Tensor images;
+    const hw::AcceleratorExecutor* ref = nullptr;
+    std::future<BatchResult> result;
+  };
+
+  DirectSubmitter(std::uint64_t seed, std::function<void()> unblock)
+      : rng_(seed), unblock_(std::move(unblock)) {}
+  ~DirectSubmitter() { unblock_(); }
+  DirectSubmitter(const DirectSubmitter&) = delete;
+  DirectSubmitter& operator=(const DirectSubmitter&) = delete;
+
+  SubBatch& submit(const std::shared_ptr<const SharedDeviceBackend>& backend,
+                   const hw::AcceleratorExecutor& ref, std::size_t samples,
+                   bool interactive = false) {
+    SubBatch& sub = sub_batches_.emplace_back();  // stable: execute() borrows
+    sub.images = Tensor{Shape{samples, 3, 16, 16}};
+    sub.images.fill_uniform(rng_, -1.0f, 1.0f);
+    sub.ref = &ref;
+    sub.result = std::async(std::launch::async, [backend, &sub, interactive] {
+      hw::ExecScratch scratch;
+      ExecHints hints;
+      hints.interactive = interactive;
+      return backend->execute(sub.images, scratch, hints);
+    });
+    return sub;
+  }
+
+  /// Every submitted sub-batch's logits match its model's oracle.
+  void expect_oracle_exact() {
+    for (SubBatch& sub : sub_batches_) {
+      const BatchResult result = sub.result.get();
+      // Pass order decides when a sub-batch completes, never what it
+      // computes.
+      EXPECT_EQ(tensor::max_abs_diff(result.logits, sub.ref->run(sub.images)),
+                0.0f);
+    }
+  }
+
+ private:
+  util::Rng rng_;
+  std::function<void()> unblock_;
+  std::deque<SubBatch> sub_batches_;
+};
+
+/// Waits until the device lanes hold `a_jobs` sub-batches of model "a" and
+/// `b_jobs` of model "b"; false after 20 s.
+bool lanes_hold(const SharedDevice& pu, std::uint64_t a_jobs,
+                std::uint64_t b_jobs) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (testing::queued_jobs(pu, "a") != a_jobs ||
+         testing::queued_jobs(pu, "b") != b_jobs) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A paced device on a PacingGate's virtual clock: every reload costs
+/// 1000 us and every pass 50 us of overhead, so every chunk sleeps and
+/// parks.
+SharedDeviceConfig gated_config(testing::PacingGate& gate) {
+  SharedDeviceConfig pu_config;
+  pu_config.paced = true;
+  pu_config.model_switch_us = 1000.0;
+  pu_config.pass_overhead_us = 50.0;
+  pu_config.coalesce_window_us = 0;
+  gate.bind(pu_config);
+  return pu_config;
+}
+
 TEST(SharedDevice, CoBatchedPassesStartOnTheResidentModel) {
   const hw::QNetDesc qnet_a = make_test_qnet(541);
   const hw::QNetDesc qnet_b = make_test_qnet(542);
@@ -195,79 +283,40 @@ TEST(SharedDevice, CoBatchedPassesStartOnTheResidentModel) {
   const hw::AcceleratorExecutor ref_b(qnet_b);
   constexpr std::size_t kCoBatchedPasses = 6;
 
-  // Paced on a virtual clock and parked in every pass's pacing sleep: each
-  // pass's sub-batches are queued while the previous pass is held, so pass
-  // k+1 is formed from exactly {a_k+1, b_k+1} — no wall-clock race decides
-  // what rides together.
+  // Paced on a virtual clock and parked in every chunk's pacing sleep. A
+  // co-batched pass runs one chunk per model, so it parks twice; each
+  // pass's sub-batches are queued while the previous pass is held at its
+  // last park, so pass k+1 is formed from exactly {a_k+1, b_k+1} — no
+  // wall-clock race decides what rides together.
   testing::PacingGate gate;
-  SharedDeviceConfig pu_config;
-  pu_config.paced = true;
-  pu_config.model_switch_us = 1000.0;
-  pu_config.pass_overhead_us = 50.0;  // every pass sleeps, so parks
-  pu_config.coalesce_window_us = 0;
-  gate.bind(pu_config);
-  auto pu = SharedDevice::create({}, pu_config);
-
+  auto pu = SharedDevice::create({}, gated_config(gate));
   DeployConfig config = small_config();
   config.model_name = "a";
   const auto backend_a = pu->attach({qnet_a}, config, pu->spec());
   config.model_name = "b";
   const auto backend_b = pu->attach({qnet_b}, config, pu->spec());
+  DirectSubmitter submitter(543, [&gate] { gate.open(); });
 
-  struct SubBatch {
-    Tensor images;
-    const hw::AcceleratorExecutor* ref = nullptr;
-    std::future<BatchResult> result;
-  };
-  std::deque<SubBatch> sub_batches;  // stable addresses: execute() borrows
-  // Opens the gate before the futures wait, so a failing assertion below
-  // still lets every blocked submitter drain.
-  struct OpenOnExit {
-    testing::PacingGate& gate;
-    ~OpenOnExit() { gate.open(); }
-  } open_on_exit{gate};
-
-  util::Rng rng{543};
-  const auto submit = [&](const std::shared_ptr<const SharedDeviceBackend>&
-                              backend,
-                          const hw::AcceleratorExecutor& ref) {
-    SubBatch& sub = sub_batches.emplace_back();
-    sub.images = Tensor{Shape{2, 3, 16, 16}};
-    sub.images.fill_uniform(rng, -1.0f, 1.0f);
-    sub.ref = &ref;
-    sub.result = std::async(std::launch::async, [backend, &sub] {
-      hw::ExecScratch scratch;
-      return backend->execute(sub.images, scratch);
-    });
-  };
   // A cold warm-up pass of `a` alone pays the first reload; after it `a`
   // is resident.
-  submit(backend_a, ref_a);
+  submitter.submit(backend_a, ref_a, 2);
   ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
       << "warm-up pass never paced";
   for (std::size_t pass = 0; pass < kCoBatchedPasses; ++pass) {
-    submit(backend_a, ref_a);
-    submit(backend_b, ref_b);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (testing::queued_jobs(*pu, "a") == 0 ||
-           testing::queued_jobs(*pu, "b") == 0) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "sub-batches never reached the device lanes";
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    submitter.submit(backend_a, ref_a, 2);
+    submitter.submit(backend_b, ref_b, 2);
+    ASSERT_TRUE(lanes_hold(*pu, 1, 1))
+        << "sub-batches never reached the device lanes";
     gate.release();
     ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
-        << "co-batched pass " << pass << " never paced";
+        << "co-batched pass " << pass << " never paced its first group";
+    gate.release();
+    ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+        << "co-batched pass " << pass << " never paced its last group";
   }
   gate.open();
 
-  for (SubBatch& sub : sub_batches) {
-    const BatchResult result = sub.result.get();
-    // Pass order decides when a sub-batch completes, never what it computes.
-    EXPECT_EQ(tensor::max_abs_diff(result.logits, sub.ref->run(sub.images)),
-              0.0f);
-  }
+  submitter.expect_oracle_exact();
   const SharedDeviceSnapshot snapshot = pu->snapshot();
   EXPECT_EQ(snapshot.passes, kCoBatchedPasses + 1);
   EXPECT_EQ(snapshot.cobatched_passes, kCoBatchedPasses);
@@ -276,6 +325,186 @@ TEST(SharedDevice, CoBatchedPassesStartOnTheResidentModel) {
   // A fixed tenant order pays both models' reloads on every co-batched
   // pass after the first.
   EXPECT_EQ(snapshot.model_switches, snapshot.passes);
+}
+
+TEST(SharedDevice, MonolithicPassRetiresEachTenantGroupAtItsModeledEnd) {
+  const hw::QNetDesc qnet_a = make_test_qnet(591);
+  const hw::QNetDesc qnet_b = make_test_qnet(592);
+  const hw::AcceleratorExecutor ref_a(qnet_a);
+  const hw::AcceleratorExecutor ref_b(qnet_b);
+
+  testing::PacingGate gate;
+  auto pu = SharedDevice::create({}, gated_config(gate));
+  DeployConfig config = small_config();
+  config.model_name = "a";
+  const auto backend_a = pu->attach({qnet_a}, config, pu->spec());
+  config.model_name = "b";
+  const auto backend_b = pu->attach({qnet_b}, config, pu->spec());
+  DirectSubmitter submitter(593, [&gate] { gate.open(); });
+
+  // Warm-up: `a` resident, cursor on `b`; the clock reads its modeled end.
+  submitter.submit(backend_a, ref_a, 2);
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "warm-up pass never paced";
+  const std::int64_t pass_start_us = gate.now();
+  DirectSubmitter::SubBatch& sub_a = submitter.submit(backend_a, ref_a, 2);
+  DirectSubmitter::SubBatch& sub_b = submitter.submit(backend_b, ref_b, 2);
+  ASSERT_TRUE(lanes_hold(*pu, 1, 1))
+      << "sub-batches never reached the device lanes";
+  gate.release();
+
+  // The co-batched pass {a, b} runs a first (resident, pays the pass
+  // overhead), then reloads for b.
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "a's group never paced";
+  const std::int64_t a_end_us = gate.now();
+  gate.release();
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "b's group never paced on its own: the pass held a until its end";
+  const std::int64_t b_end_us = gate.now();
+
+  // Parked in b's group sleep: a already retired at its own modeled end
+  // (its riders do not wait out b's reload), b is still held.
+  ASSERT_EQ(sub_a.result.wait_for(std::chrono::seconds(20)),
+            std::future_status::ready)
+      << "a's execute() must return before b's group retires";
+  const BatchResult result_a = sub_a.result.get();
+  EXPECT_EQ(tensor::max_abs_diff(result_a.logits, ref_a.run(sub_a.images)),
+            0.0f);
+  EXPECT_EQ(a_end_us,
+            pass_start_us + static_cast<std::int64_t>(result_a.sim_accel_us));
+  EXPECT_EQ(sub_b.result.wait_for(std::chrono::milliseconds(0)),
+            std::future_status::timeout);
+
+  gate.open();
+  const BatchResult result_b = sub_b.result.get();
+  EXPECT_EQ(tensor::max_abs_diff(result_b.logits, ref_b.run(sub_b.images)),
+            0.0f);
+  // The pass as a whole still ends where its summed modeled cost puts it.
+  EXPECT_EQ(b_end_us, pass_start_us + static_cast<std::int64_t>(
+                                          result_a.sim_accel_us +
+                                          result_b.sim_accel_us));
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  EXPECT_EQ(snapshot.passes, 2u);
+  EXPECT_EQ(snapshot.cobatched_passes, 1u);
+  EXPECT_EQ(snapshot.chunks, 3u) << "one chunk per tenant group";
+  EXPECT_EQ(snapshot.model_switches, 2u);
+}
+
+TEST(SharedDevice, CoalescingSweepReachesOtherTenantsBeforeTheLeadsSecond) {
+  const hw::QNetDesc qnet_a = make_test_qnet(594);
+  const hw::QNetDesc qnet_b = make_test_qnet(595);
+  const hw::AcceleratorExecutor ref_a(qnet_a);
+  const hw::AcceleratorExecutor ref_b(qnet_b);
+
+  testing::PacingGate gate;
+  SharedDeviceConfig pu_config = gated_config(gate);
+  pu_config.max_pass_samples = 8;
+  auto pu = SharedDevice::create({}, pu_config);
+  DeployConfig config = small_config();
+  config.model_name = "a";
+  const auto backend_a = pu->attach({qnet_a}, config, pu->spec());
+  config.model_name = "b";
+  const auto backend_b = pu->attach({qnet_b}, config, pu->spec());
+  DirectSubmitter submitter(596, [&gate] { gate.open(); });
+
+  // Warm-up of `b`: b resident, the round-robin cursor on `a`.
+  submitter.submit(backend_b, ref_b, 1);
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "warm-up pass never paced";
+  submitter.submit(backend_a, ref_a, 4);
+  submitter.submit(backend_a, ref_a, 4);
+  submitter.submit(backend_b, ref_b, 4);
+  ASSERT_TRUE(lanes_hold(*pu, 2, 1))
+      << "sub-batches never reached the device lanes";
+  gate.open();
+
+  submitter.expect_oracle_exact();
+  // a leads with a1; one sub-batch per tenant per sweep gives b1 the
+  // pass's second slot: {b1, a1} (b resident, one reload) then {a2} (a
+  // resident). Sweeping from the lead itself would form {a1, a2} then {b1}
+  // and pay a reload for each.
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  EXPECT_EQ(snapshot.passes, 3u);
+  EXPECT_EQ(snapshot.cobatched_passes, 1u);
+  EXPECT_EQ(snapshot.model_switches, 2u) << "warm-up b, then a once";
+}
+
+TEST(SharedDevice, BatchGroupsStartOnTheModelInteractiveGroupsLeaveLoaded) {
+  const hw::QNetDesc qnet_a = make_test_qnet(597);
+  const hw::QNetDesc qnet_b = make_test_qnet(598);
+  const hw::AcceleratorExecutor ref_a(qnet_a);
+  const hw::AcceleratorExecutor ref_b(qnet_b);
+
+  testing::PacingGate gate;
+  auto pu = SharedDevice::create({}, gated_config(gate));
+  DeployConfig config = small_config();
+  config.model_name = "a";
+  const auto backend_a = pu->attach({qnet_a}, config, pu->spec());
+  config.model_name = "b";
+  const auto backend_b = pu->attach({qnet_b}, config, pu->spec());
+  DirectSubmitter submitter(599, [&gate] { gate.open(); });
+
+  // Warm-up: `a` resident.
+  submitter.submit(backend_a, ref_a, 1);
+  ASSERT_TRUE(gate.next_for(std::chrono::seconds(20)).has_value())
+      << "warm-up pass never paced";
+  submitter.submit(backend_b, ref_b, 2, /*interactive=*/true);
+  submitter.submit(backend_a, ref_a, 2);
+  submitter.submit(backend_b, ref_b, 2);
+  ASSERT_TRUE(lanes_hold(*pu, 1, 2))
+      << "sub-batches never reached the device lanes";
+  gate.open();
+
+  submitter.expect_oracle_exact();
+  // b's probe runs first and leaves b loaded, so the batch groups start on
+  // b: b, b, a pays 2 reloads. Ranking them against the model resident
+  // when the pass formed (a) would run b, a, b and pay 3.
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  EXPECT_EQ(snapshot.passes, 2u);
+  EXPECT_EQ(snapshot.model_switches, 1u + 2u) << "warm-up a, then b and a";
+}
+
+TEST(SharedDevice, PacingOvershootIsPaidOncePerPassNotPerChunk) {
+  const hw::QNetDesc qnet = make_test_qnet(601);
+  const hw::AcceleratorExecutor ref(qnet);
+  DeployConfig config = small_config();
+  // Scale the modeled clock so one sample costs ~1 ms on the PU.
+  {
+    auto probe = SharedDevice::create({}, paced_config(false));
+    const double native_us =
+        probe->attach({qnet}, config, probe->spec())->sample_us();
+    config.accel.clock_hz *= native_us / 1000.0;
+  }
+
+  // Every pacing sleep overshoots its request by a fixed 300 us, as a
+  // host sleep does; one-sample chunks make a 4-sample pass 4 chunks.
+  constexpr std::int64_t kOvershootUs = 300;
+  testing::VirtualClock clock;
+  SharedDeviceConfig pu_config;
+  pu_config.paced = true;
+  pu_config.preempt_granularity_us = 1000.0;
+  pu_config.now_us = [&clock] { return clock.now(); };
+  pu_config.sleep_us = [&clock](std::int64_t us) {
+    clock.advance(us + kOvershootUs);
+  };
+  auto pu = SharedDevice::create({}, pu_config);
+  const auto backend = pu->attach({qnet}, config, pu->spec());
+
+  util::Rng rng{602};
+  Tensor images{Shape{4, 3, 16, 16}};
+  images.fill_uniform(rng, -1.0f, 1.0f);
+  hw::ExecScratch scratch;
+  const BatchResult result = backend->execute(images, scratch);
+  EXPECT_EQ(tensor::max_abs_diff(result.logits, ref.run(images)), 0.0f);
+
+  const SharedDeviceSnapshot snapshot = pu->snapshot();
+  ASSERT_EQ(snapshot.chunks, 4u);
+  // The pass started at virtual 0 and each chunk paced against the pass's
+  // own timeline, so only the last sleep's overshoot lands past the
+  // modeled end — not one overshoot per chunk.
+  EXPECT_EQ(clock.now(),
+            static_cast<std::int64_t>(snapshot.busy_us) + kOvershootUs);
 }
 
 TEST(SharedDevice, GeometryMismatchFallsBackToSerializedPasses) {
@@ -446,7 +675,7 @@ TEST(SharedDevice, CoLocatedReplicaRowsMergePerPhysicalDevice) {
 
 TEST(SharedDevice, MixedPlacementKeepsDedicatedRowsSeparate) {
   const hw::QNetDesc qnet = make_test_qnet(561);
-  auto pu = SharedDevice::create({}, {.paced = false});
+  auto pu = SharedDevice::create({}, paced_config(false));
 
   ModelServer server;
   DeployConfig config = small_config();
@@ -476,8 +705,8 @@ TEST(SharedDevice, MixedPlacementKeepsDedicatedRowsSeparate) {
 
 TEST(SharedDevice, BackendReportsCentralPacing) {
   const hw::QNetDesc qnet = make_test_qnet(571);
-  auto paced_pu = SharedDevice::create({}, {.paced = true});
-  auto free_pu = SharedDevice::create({}, {.paced = false});
+  auto paced_pu = SharedDevice::create({}, paced_config(true));
+  auto free_pu = SharedDevice::create({}, paced_config(false));
 
   ModelServer server;
   DeployConfig config = small_config();
@@ -496,7 +725,7 @@ TEST(SharedDevice, BackendReportsCentralPacing) {
 TEST(SharedDevice, UndeployOneTenantWhileAnotherKeepsSubmitting) {
   const hw::QNetDesc qnet_a = make_test_qnet(581);
   const hw::QNetDesc qnet_b = make_test_qnet(582);
-  auto pu = SharedDevice::create({}, {.paced = false});
+  auto pu = SharedDevice::create({}, paced_config(false));
 
   ModelServer server;
   DeployConfig config = small_config();
